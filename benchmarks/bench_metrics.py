@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Metric evaluation cost: analysis cache cold vs warm, kernel speedups.
 
-Four measurements — the first three on a 50-user synthetic commuter
+Five measurements — the first three on a 50-user synthetic commuter
 dataset:
 
 * **per-metric wall time** — each registered heavyweight metric
@@ -11,12 +11,19 @@ dataset:
 * **sweep cost** — a ``poi_retrieval`` + ``reidentification`` sweep
   over several protected datasets, run cold (a fresh cache per metric
   call, the pre-analysis-layer behaviour) vs warm (one shared cache,
-  the engine's behaviour): the headline number the analysis layer is
-  gated on (≥ 3× expected);
+  the engine's behaviour): the number the analysis layer is gated on
+  — the warm pass must compute no stay points or POIs, and the ratio
+  must reach ≥ 1.6× (≥ 1.3× in smoke; measured ~2.2×, because the
+  extraction the cache saves is cheap);
 * **kernel speedups** — the vectorised ``extract_stay_points`` (on a
   100k-record trace) and ``cluster_stay_points`` against the seed
   implementations, which must stay bit-identical while being faster
   (≥ 1.5× expected for stay-point extraction);
+* **noisy stay points** — the same extraction on a 64-cab taxi fleet
+  protected with geo_ind at ε = 0.01 (16 cabs in smoke): noisy traces
+  rarely dwell, which is where the dead-anchor prefilter pays, and the
+  shape every protected side of a POI metric has (≥ 10× expected,
+  ≥ 3× in smoke);
 * **protect speedups** — the columnar ``protect_block`` path of every
   vectorised LPPM against the seed per-trace loop, on a many-user
   dataset (2500 users × 40 records full, the short-trace fleet shape
@@ -53,6 +60,7 @@ from repro.analysis import AnalysisCache, use_cache
 from repro.attacks import cluster_stay_points, extract_stay_points
 from repro.attacks.staypoints import StayPoint
 from repro.metrics import metric_class
+from repro.synth import TaxiFleetConfig, generate_taxi_fleet
 
 #: Metrics whose evaluation is dominated by derived-artifact analysis.
 BENCH_METRICS = (
@@ -138,6 +146,11 @@ def bench_sweep(actual, protected_worlds) -> dict:
       every artifact on both sides is answered from the LRU (what a
       re-evaluated sweep pays, e.g. after a metric-parameter change
       that misses the result cache but not the artifact cache).
+
+    Each is the best of three runs (a fresh shared cache per first
+    pass), the cold and warm runs interleaved so a slow stretch of the
+    host hits both sides: single runs of a few hundred milliseconds
+    swung the ratio between 1.2× and 2.3× on a shared VM.
     """
     metrics = [metric_class("poi_retrieval")(), metric_class("reidentification")()]
 
@@ -152,16 +165,25 @@ def bench_sweep(actual, protected_worlds) -> dict:
                 with use_cache(AnalysisCache()):
                     metric.evaluate(actual, protected)
 
-    cold_s = _timed(cold_run)
-
-    shared = AnalysisCache()
-
     def shared_run() -> None:
         for protected in protected_worlds:
             run_point(protected, shared)
 
-    first_pass_s = _timed(shared_run)
-    warm_s = _timed(shared_run)
+    first_pass_s = float("inf")
+    for _ in range(3):
+        shared = AnalysisCache()
+        first_pass_s = min(first_pass_s, _timed(shared_run))
+    before = shared.kind_stats()
+    cold_s = warm_s = float("inf")
+    for _ in range(3):
+        cold_s = min(cold_s, _timed(cold_run))
+        warm_s = min(warm_s, _timed(shared_run))
+    # Artifacts the warm pass computed: a cache-hit path that misses
+    # would hide behind a ratio floor, so it is counted directly.
+    warm_misses = {
+        kind: row["misses"] - before.get(kind, {"misses": 0})["misses"]
+        for kind, row in shared.kind_stats().items()
+    }
     return {
         "points": len(protected_worlds),
         "metrics": [m.name for m in metrics],
@@ -173,6 +195,7 @@ def bench_sweep(actual, protected_worlds) -> dict:
             round(cold_s / first_pass_s, 2) if first_pass_s > 0 else None
         ),
         "analysis_cache": shared.stats,
+        "warm_misses": warm_misses,
     }
 
 
@@ -226,6 +249,43 @@ def bench_kernels(n_records: int, n_stays: int) -> dict:
             ),
             "bit_identical": bool(cluster_identical),
         },
+    }
+
+
+def bench_noisy_stay_points(n_cabs: int) -> dict:
+    """Stay points of a geo_ind-protected taxi fleet vs the seed kernel.
+
+    The protected side of every POI metric: noise of a few hundred
+    metres breaks nearly every dwell, so almost no anchor qualifies and
+    the seed scan pays one full pass per record.
+    """
+    reference = _reference_module()
+    fleet = generate_taxi_fleet(TaxiFleetConfig(n_cabs=n_cabs, seed=0))
+    traces = GeoIndistinguishability(epsilon=0.01).protect(fleet, seed=0).traces
+    new = [extract_stay_points(t) for t in traces]  # warm numpy paths
+    ref = [reference._reference_extract_stay_points(t) for t in traces]
+    # Best of three on both sides: the live kernel runs in milliseconds,
+    # where one scheduler hiccup would swing the ratio.
+    new_s = min(
+        _timed(lambda: [extract_stay_points(t) for t in traces])
+        for _ in range(3)
+    )
+    ref_s = min(
+        _timed(
+            lambda: [
+                reference._reference_extract_stay_points(t) for t in traces
+            ]
+        )
+        for _ in range(3)
+    )
+    return {
+        "cabs": n_cabs,
+        "records": sum(len(t) for t in traces),
+        "n_stays": sum(len(stays) for stays in new),
+        "reference_s": round(ref_s, 3),
+        "vectorized_s": round(new_s, 4),
+        "speedup": round(ref_s / new_s, 1) if new_s > 0 else None,
+        "bit_identical": new == ref,
     }
 
 
@@ -315,13 +375,17 @@ def main(argv=None) -> int:
     ]
     protected = protected_worlds[0]
 
+    kernels = bench_kernels(kernel_records, 2500 if args.smoke else 4000)
+    kernels["stay_points_noisy"] = bench_noisy_stay_points(
+        16 if args.smoke else 64
+    )
     results = {
         "users": len(actual),
         "records": actual.n_records,
         "smoke": bool(args.smoke),
         "per_metric": bench_per_metric(actual, protected),
         "sweep": bench_sweep(actual, protected_worlds),
-        "kernels": bench_kernels(kernel_records, 2500 if args.smoke else 4000),
+        "kernels": kernels,
         "protect": bench_protect(protect_users, protect_records),
     }
 
@@ -335,7 +399,8 @@ def main(argv=None) -> int:
     print(f"\nsweep ({sweep['points']} points, poi_retrieval + "
           f"reidentification): cold {sweep['cold_s']}s, first pass "
           f"{sweep['first_pass_s']}s ({sweep['first_pass_speedup']}x), "
-          f"warm {sweep['warm_s']}s -> {sweep['speedup']}x")
+          f"warm {sweep['warm_s']}s -> {sweep['speedup']}x "
+          f"(warm-pass misses {sweep['warm_misses']})")
     for kernel, row in results["kernels"].items():
         print(f"{kernel}: reference {row['reference_s']}s, vectorized "
               f"{row['vectorized_s']}s -> {row['speedup']}x "
@@ -351,15 +416,27 @@ def main(argv=None) -> int:
 
     # Gates: parity always; speedup floors sized for the full run (CI
     # smoke keeps a margin for noisy shared runners).
-    sweep_floor = 2.0 if args.smoke else 3.0
+    # The sweep ratio is modest because stay-point extraction, which
+    # the cache saves, is cheap; what stays in the warm pass is the
+    # all-pairs fingerprint matching of reidentification.  Its floors
+    # sit under the lowest ratios measured on a shared 2-vCPU VM
+    # (full 1.97-2.51×, smoke 1.40-2.06× with median 1.77× over 8
+    # runs); the zero-miss check is what pins the cache-hit path.
+    sweep_floor = 1.3 if args.smoke else 1.6
     kernel_floor = 1.2 if args.smoke else 1.5
+    noisy_floor = 3.0 if args.smoke else 10.0
     protect_floor = 2.0 if args.smoke else 4.0
     per_lppm = results["protect"]["per_lppm"]
     ok = (
         all(r["bit_identical"] for r in results["kernels"].values())
         and sweep["speedup"] is not None
         and sweep["speedup"] >= sweep_floor
-        and results["kernels"]["stay_points"]["speedup"] >= kernel_floor
+        and all(
+            sweep["warm_misses"].get(kind, 0) == 0
+            for kind in ("stay_points", "pois")
+        )
+        and kernels["stay_points"]["speedup"] >= kernel_floor
+        and kernels["stay_points_noisy"]["speedup"] >= noisy_floor
         and all(r["bit_identical"] for r in per_lppm.values())
         and all(
             per_lppm[name]["speedup"] is not None

@@ -114,9 +114,10 @@ class AnalysisCache:
     spill_dir:
         Optional directory for the persistent spill tier
         (:class:`~repro.analysis.spill.AnalysisSpill`): spillable
-        artifacts missed in memory are probed on disk before being
-        recomputed, and fresh computations are written through — so a
-        restarted or sibling process starts warm.  Content keys are
+        artifacts of seeded datasets missed in memory are probed on
+        disk before being recomputed, and fresh computations are
+        written through — so a restarted or sibling process starts
+        warm on the actual side.  Content keys are
         deterministic across processes, making the tier safe to share
         between concurrent workers.
     """

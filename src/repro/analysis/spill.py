@@ -7,13 +7,25 @@ plus the stable config signature — so a restarted daemon, a sibling
 pre-fork worker or a fresh process-pool worker starts warm instead of
 re-extracting every actual-side artifact.
 
-Keys are content-addressed on both flavours of trace key (seeded
-``d:<fingerprint>:<user>`` and hashed ``t:<sha256>``), which are
-deterministic across processes, so any worker's spill is every
-worker's spill.  Records are JSON (floats round-trip exactly through
-the shortest-repr encoder, so reloaded artifacts stay bit-identical),
-written atomically through :mod:`repro.framework.store`; a torn or
-corrupt record reads as a miss and is quarantined, never raised.
+Only artifacts of dataset-seeded traces (keys ``d:<fingerprint>:<user>``)
+spill.  Those are the actual side, which every later sweep, worker and
+restart over the same dataset asks for again.  Hashed keys
+(``t:<sha256>``) belong to traces nobody announced — above all each
+job's freshly protected traces — and stay in the memory LRU.  They
+could be reused: protection is deterministic per (params, seed), so a
+job that repeats them under another metric signature rebuilds the same
+trace, and a sibling or restarted worker now recomputes its artifacts
+instead of loading them.  In practice that reuse did not happen — a
+25 s cold ``/recommend`` load wrote thousands of hashed records and
+read none back — and with the stay-point prefilter one store (JSON
+encode plus atomic write, ~0.3 ms) costs about as much as
+re-extracting the trace (~0.5 ms).
+Seeded keys are deterministic across processes, so any worker's spill
+is every worker's spill.  Records are JSON (floats round-trip exactly
+through the shortest-repr encoder, so reloaded artifacts stay
+bit-identical), written atomically through :mod:`repro.framework.store`;
+a torn or corrupt record reads as a miss and is quarantined, never
+raised.
 
 Only the three closed artifact families are spillable — anything else
 a future caller memoises stays memory-only rather than risking a lossy
@@ -91,9 +103,12 @@ class AnalysisSpill:
 
     @staticmethod
     def handles(key: Tuple, kind: str) -> bool:
-        """Whether (key, kind) round-trips through the spill codecs."""
-        return kind in SPILLABLE_KINDS and all(
-            isinstance(part, str) for part in key
+        """Whether (key, kind) belongs on disk: a dataset-seeded trace's
+        artifact that round-trips through the spill codecs."""
+        return (
+            kind in SPILLABLE_KINDS
+            and all(isinstance(part, str) for part in key)
+            and key[0].startswith("d:")
         )
 
     def _path_of(self, key: Tuple) -> Path:

@@ -19,6 +19,11 @@ from ..mobility import Trace
 
 __all__ = ["StayPoint", "extract_stay_points"]
 
+#: Lags of the vectorised dead-anchor pass (see :func:`_live_anchors`).
+#: Noisy traces rarely keep 8 consecutive records inside the radius, so
+#: 8 lags leave few anchors for the sequential scan.
+_PREFILTER_LAGS = 8
+
 
 @dataclass(frozen=True)
 class StayPoint:
@@ -39,6 +44,40 @@ class StayPoint:
     def point(self) -> LatLon:
         """The stop centroid as a :class:`LatLon`."""
         return LatLon(self.lat, self.lon)
+
+
+def _live_anchors(
+    x: np.ndarray,
+    y: np.ndarray,
+    times: np.ndarray,
+    roam2: float,
+    min_dwell_s: float,
+) -> np.ndarray:
+    """Ascending anchors whose window may span ``min_dwell_s``.
+
+    Anchor ``i``'s window ends before ``j``, the first record outside
+    the radius.  The window provably fails the dwell test (so the scan
+    would only advance by one) when either
+
+    * the trace ends too soon: ``times[n-1] - times[i] < min_dwell_s``;
+    * for some lag ``L``, record ``i+L`` is already outside the radius
+      (so ``j <= i+L``) while ``times[i+L-1] - times[i] < min_dwell_s``.
+
+    Both rely on non-decreasing times (subtracting one anchor time is
+    monotone in floating point too).  ``Trace`` sorts its times, so only
+    NaN timestamps can break that; such traces get every anchor.  The
+    squared distances are computed with exactly the scan's operations,
+    so a record is "outside" here iff the scan finds it outside.
+    """
+    n = len(times)
+    if not np.all(times[1:] >= times[:-1]):
+        return np.arange(n - 1)
+    dead = times[n - 1] - times[: n - 1] < min_dwell_s
+    for lag in range(1, min(_PREFILTER_LAGS, n - 1) + 1):
+        outside = (x[lag:] - x[:-lag]) ** 2 + (y[lag:] - y[:-lag]) ** 2 > roam2
+        brief = times[lag - 1 : n - 1] - times[: n - lag] < min_dwell_s
+        dead[: n - lag] |= outside & brief
+    return np.flatnonzero(~dead)
 
 
 def extract_stay_points(
@@ -63,6 +102,12 @@ def extract_stay_points(
     the window, its centroid and its timestamps are bit-identical to
     the full-suffix formulation.
 
+    Before the scan, one vectorised pass per lag discards the anchors
+    whose window provably cannot dwell long enough
+    (:func:`_live_anchors`).  On noisy, protected traces — which rarely
+    hold still — that removes almost every anchor, and with it one
+    Python iteration and one ``np.nonzero`` per record.
+
     Defaults (200 m, 15 min) follow the POI-mining literature the
     paper's privacy metric relies on.
     """
@@ -78,8 +123,13 @@ def extract_stay_points(
     roam2 = roam_m**2
 
     stays: List[StayPoint] = []
-    i = 0
-    while i < n - 1:
+    # Scanning from a dead anchor only ever advances by one, so visiting
+    # the live anchors alone — skipping those inside an emitted stay —
+    # is exactly the one-by-one scan.
+    resume = 0
+    for i in _live_anchors(x, y, times, roam2, min_dwell_s).tolist():
+        if i < resume:
+            continue
         # Extend the window while records remain near the anchor,
         # scanning ahead in growing blocks and stopping at the first
         # record outside the radius.
@@ -110,7 +160,5 @@ def extract_stay_points(
                     n_records=j - i,
                 )
             )
-            i = j
-        else:
-            i += 1
+            resume = j
     return stays

@@ -159,7 +159,7 @@ class EvaluationEngine:
         # spill tier lives under cache_dir/analysis (a name no 2-hex
         # result shard can collide with), so restarted daemons, forked
         # service workers and pool workers all share one warm set of
-        # stay-point/POI extractions.
+        # actual-side stay-point/POI extractions.
         self._analysis_spill_dir = (
             self.cache.cache_dir / "analysis"
             if self.cache.cache_dir is not None else None

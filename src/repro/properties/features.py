@@ -14,8 +14,9 @@ from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-from ..analysis import pois_of
+from ..analysis import current_cache, pois_of
 from ..attacks import PoiExtractionConfig
+from ..engine.jobs import dataset_fingerprint
 from ..geo import SpatialGrid
 from ..mobility import Dataset, radius_of_gyration_m
 
@@ -98,9 +99,22 @@ def _top_cell_uniqueness(dataset: Dataset, cell_size_m: float = 200.0) -> float:
     return unique_users / len(top_pairs)
 
 
-def _mean_poi_count(dataset: Dataset) -> float:
+def _dataset_pois(dataset: Dataset) -> list:
+    """Each trace's POIs (default extraction), in trace order.
+
+    The dataset is seeded into the ambient analysis cache first, so its
+    traces get ``d:<fingerprint>:<user>`` keys: no per-trace hashing,
+    the same entries an engine sweep over the dataset uses, and the
+    keys the analysis spill tier persists.
+    """
+    cache = current_cache()
+    cache.seed_dataset(dataset, dataset_fingerprint(dataset))
     config = PoiExtractionConfig()
-    return float(np.mean([len(pois_of(t, config)) for t in dataset.traces]))
+    return [pois_of(t, config, cache=cache) for t in dataset.traces]
+
+
+def _mean_poi_count(dataset: Dataset) -> float:
+    return float(np.mean([len(pois) for pois in _dataset_pois(dataset)]))
 
 
 def _night_activity_fraction(dataset: Dataset) -> float:
@@ -148,10 +162,8 @@ def _mean_inter_poi_distance_m(dataset: Dataset) -> float:
     """
     from ..geo import pairwise_haversine_m
 
-    config = PoiExtractionConfig()
     spreads = []
-    for trace in dataset.traces:
-        pois = pois_of(trace, config)
+    for pois in _dataset_pois(dataset):
         if len(pois) < 2:
             continue
         lats = [p.lat for p in pois]

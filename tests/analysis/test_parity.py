@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import GeoIndistinguishability
+from repro import GeoIndistinguishability, geo_ind_system
 from repro.analysis import AnalysisCache, pois_of, stay_points_of, use_cache
 from repro.attacks import (
     PoiExtractionConfig,
@@ -21,6 +21,8 @@ from repro.attacks import (
     extract_pois,
     extract_stay_points,
 )
+from repro.attacks.staypoints import _PREFILTER_LAGS
+from repro.geo import LocalProjection
 from repro.metrics import PoiRetrievalPrivacy, ReidentificationPrivacy
 from repro.mobility import Trace
 
@@ -103,6 +105,136 @@ class TestStayPointParity:
             trace = Trace("b", np.arange(n) * 60.0, lats, np.full(n, 20.0))
             assert extract_stay_points(trace, 200.0, 300.0) == \
                 _reference_extract_stay_points(trace, 200.0, 300.0)
+
+
+def _window_trace(window: int, dwell_s: float, at_end: bool = False) -> Trace:
+    """Moving records around one ``window``-record stop of ``dwell_s``.
+
+    Every moving record is ~1 km from its neighbours, so only the stop
+    can qualify; ``at_end`` makes the stop the end of the trace.
+    """
+    moving = 6
+    lead = [(i * 60.0, 48.80 + i * 0.01, 2.30) for i in range(moving)]
+    t0 = lead[-1][0] + 60.0
+    steps = np.linspace(0.0, dwell_s, window) if window > 1 else [0.0]
+    stop = [(t0 + float(dt), 48.70, 2.40) for dt in steps]
+    t1 = stop[-1][0] + 60.0
+    tail = [] if at_end else [
+        (t1 + i * 60.0, 48.60 - i * 0.01, 2.50) for i in range(moving)
+    ]
+    times, lats, lons = zip(*(lead + stop + tail))
+    return Trace("w", times, lats, lons)
+
+
+def _boundary_trace(lag: int):
+    """A stop whose record ``lag`` lies exactly ``roam_m`` from the
+    anchor (in the kernel's projected metres), and ``roam_m``.
+
+    The stop qualifies only if that record counts as inside (the
+    kernel's test is strict ``>``): the records before it span less
+    than the dwell, the record itself reaches it.
+    """
+    for step in range(1, 400):
+        lats = np.array([48.85] * (lag + 2))
+        lons = np.array([2.35] * (lag + 2))
+        lons[lag] += step * 1e-6 + 1e-3
+        lons[lag + 1] += 0.05  # far outside
+        times = np.arange(lag + 2) * (900.0 / lag)
+        times[lag - 1] = 899.0 if lag > 1 else 0.0
+        x, y = LocalProjection.for_data(lats, lons).to_xy(lats, lons)
+        d2 = (x[lag] - x[0]) ** 2 + (y[lag] - y[0]) ** 2
+        roam_m = float(np.sqrt(d2))
+        if roam_m**2 == d2:
+            return Trace("b", times, lats, lons), roam_m
+    raise AssertionError("no exactly representable radius found")
+
+
+class TestPrefilterParity:
+    """The dead-anchor prefilter must not change a single stay point.
+
+    Protected traces exercise the case it was built for (almost every
+    anchor dead); the synthetic shapes sit on each boundary of the
+    dead-anchor conditions.
+    """
+
+    @pytest.mark.parametrize(
+        "epsilon", geo_ind_system().parameters[0].values(8).tolist()
+    )
+    def test_geo_ind_protected_taxi_traces(self, taxi_dataset, epsilon):
+        for seed in (0, 1, 2):
+            protected = GeoIndistinguishability(epsilon=epsilon).protect(
+                taxi_dataset, seed=seed
+            )
+            for trace in protected.traces:
+                assert extract_stay_points(trace) == \
+                    _reference_extract_stay_points(trace)
+
+    @pytest.mark.parametrize("roam_m,min_dwell_s", PARAM_GRID)
+    def test_geo_ind_protected_commuters(self, commuter_dataset, roam_m,
+                                         min_dwell_s):
+        protected = GeoIndistinguishability(epsilon=0.01).protect(
+            commuter_dataset, seed=4
+        )
+        for trace in protected.traces:
+            assert extract_stay_points(trace, roam_m, min_dwell_s) == \
+                _reference_extract_stay_points(trace, roam_m, min_dwell_s)
+
+    @pytest.mark.parametrize("gap", [899.0, 900.0, 901.0])
+    def test_two_record_window_across_a_gap(self, gap):
+        trace = _window_trace(2, gap)
+        expected = _reference_extract_stay_points(trace, 200.0, 900.0)
+        assert len(expected) == (gap >= 900.0)
+        assert extract_stay_points(trace, 200.0, 900.0) == expected
+
+    @pytest.mark.parametrize("lag", range(1, _PREFILTER_LAGS + 2))
+    def test_record_exactly_at_roam_radius(self, lag):
+        trace, roam_m = _boundary_trace(lag)
+        expected = _reference_extract_stay_points(trace, roam_m, 900.0)
+        assert expected and expected[0].n_records == lag + 1
+        assert extract_stay_points(trace, roam_m, 900.0) == expected
+
+    @pytest.mark.parametrize("dwell", [899.0, 900.0, 1800.0])
+    @pytest.mark.parametrize("window", [2, 3, 9])
+    def test_window_ending_at_last_record(self, window, dwell):
+        trace = _window_trace(window, dwell, at_end=True)
+        expected = _reference_extract_stay_points(trace, 200.0, 900.0)
+        assert len(expected) == (dwell >= 900.0)
+        assert extract_stay_points(trace, 200.0, 900.0) == expected
+
+    @pytest.mark.parametrize("dwell", [899.0, 900.0])
+    @pytest.mark.parametrize("lag", range(1, _PREFILTER_LAGS + 2))
+    def test_windows_around_every_lag(self, lag, dwell):
+        for window in (lag, lag + 1):
+            trace = _window_trace(window, dwell)
+            expected = _reference_extract_stay_points(trace, 200.0, 900.0)
+            assert len(expected) == (window > 1 and dwell >= 900.0)
+            assert extract_stay_points(trace, 200.0, 900.0) == expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_walks_near_the_thresholds(self, seed):
+        # Steps and gaps straddle roam_m and min_dwell_s / lag, so every
+        # lag's dead test flips back and forth along the trace.
+        rng = np.random.default_rng(seed)
+        n = 600
+        times = np.cumsum(rng.choice([0.0, 30.0, 120.0, 450.0, 900.0], n))
+        lats = 48.85 + np.cumsum(rng.normal(0.0, 1.2e-3, n))
+        lons = 2.35 + np.cumsum(rng.normal(0.0, 1.2e-3, n))
+        trace = Trace("r", times, lats, lons)
+        for roam_m, min_dwell_s in PARAM_GRID:
+            assert extract_stay_points(trace, roam_m, min_dwell_s) == \
+                _reference_extract_stay_points(trace, roam_m, min_dwell_s)
+
+    def test_nan_timestamps_fall_back_to_every_anchor(self):
+        # Trace sorts its times, but NaN defeats the sort check, and
+        # the dead-anchor proofs need non-decreasing times.
+        # Here the stop 0..2 qualifies although the trace "ends" at
+        # 500 s, which the end-of-trace test would call hopeless.
+        times = np.array([0.0, np.nan, 1000.0, 1100.0, np.nan, 500.0])
+        lats = np.array([48.85, 48.85, 48.85, 48.95, 48.95, 48.95])
+        trace = Trace("n", times, lats, np.full(6, 2.35))
+        expected = _reference_extract_stay_points(trace)
+        assert len(expected) == 1
+        assert extract_stay_points(trace) == expected
 
 
 class TestClusterParity:

@@ -2,11 +2,17 @@
 
 What the spill promises:
 
+* only artifacts of dataset-seeded traces (``d:<fingerprint>:<user>``
+  keys) reach the disk.  Hashed ``t:`` keys belong to per-job
+  protected traces, whose records were written and never read back
+  on cold traffic and cost about as much to store as to recompute, so
+  they stay in memory;
 * every spillable artifact round-trips **exactly** — a fresh process
   loading from disk sees the same values a recompute would produce;
 * a fresh cache (a restarted daemon, a sibling pre-fork worker)
-  pointed at the same spill directory starts warm: zero recomputes,
-  ``spill_hits`` accounting for the saved work;
+  pointed at the same spill directory starts warm on the actual side:
+  zero actual-side recomputes, ``spill_hits`` accounting for the
+  saved work, and exactly the protected side recomputed;
 * corrupt or mismatched records are quarantined and recomputed,
   never raised;
 * non-spillable shapes stay memory-only and IO failures only cost
@@ -30,7 +36,8 @@ from repro.analysis import (
 )
 from repro.engine import EvalJob
 from repro.geo import LatLon, SpatialGrid
-from repro.mobility import Trace
+from repro.mobility import Dataset, Trace
+from repro.service import ConfigService, ServiceClient
 
 
 def _trace(seed: int, n: int = 400) -> Trace:
@@ -49,25 +56,40 @@ def _clone(trace: Trace) -> Trace:
     )
 
 
+def _seeded(cache: AnalysisCache, trace: Trace) -> Trace:
+    """``trace`` announced to ``cache`` as part of a seeded dataset, so
+    its artifacts carry a ``d:`` key (what the engine does for the
+    actual side)."""
+    cache.seed_dataset(Dataset.from_traces([trace]), "fp")
+    return trace
+
+
+def _spilled_keys(spill_dir) -> list:
+    return [
+        json.loads(path.read_text())["key"]
+        for path in spill_dir.glob("*/*.json")
+    ]
+
+
 class TestRoundTrip:
     def test_stay_points_exact(self, tmp_path):
         warm = AnalysisCache(spill_dir=tmp_path)
-        computed = stay_points_of(_trace(0), cache=warm)
+        computed = stay_points_of(_seeded(warm, _trace(0)), cache=warm)
         assert computed  # a degenerate empty artifact proves nothing
 
         fresh = AnalysisCache(spill_dir=tmp_path)
-        loaded = stay_points_of(_clone(_trace(0)), cache=fresh)
+        loaded = stay_points_of(_seeded(fresh, _trace(0)), cache=fresh)
         assert loaded == computed  # dataclass equality: exact floats
         assert fresh.kind_stats()["stay_points"]["misses"] == 0
         assert fresh.stats["spill_hits"] == 1
 
     def test_pois_exact(self, tmp_path):
         warm = AnalysisCache(spill_dir=tmp_path)
-        computed = pois_of(_trace(1), cache=warm)
+        computed = pois_of(_seeded(warm, _trace(1)), cache=warm)
         assert computed
 
         fresh = AnalysisCache(spill_dir=tmp_path)
-        loaded = pois_of(_clone(_trace(1)), cache=fresh)
+        loaded = pois_of(_seeded(fresh, _trace(1)), cache=fresh)
         assert loaded == computed
         # The layered stay-point artifact was served from the spill
         # too: nothing in the POI pipeline was recomputed.
@@ -78,11 +100,11 @@ class TestRoundTrip:
     def test_visit_counts_exact(self, tmp_path):
         grid = SpatialGrid.around(LatLon(48.85, 2.35), cell_size_m=150.0)
         warm = AnalysisCache(spill_dir=tmp_path)
-        computed = visit_counts_of(_trace(2), grid, cache=warm)
+        computed = visit_counts_of(_seeded(warm, _trace(2)), grid, cache=warm)
         assert computed
 
         fresh = AnalysisCache(spill_dir=tmp_path)
-        loaded = visit_counts_of(_clone(_trace(2)), grid, cache=fresh)
+        loaded = visit_counts_of(_seeded(fresh, _trace(2)), grid, cache=fresh)
         assert loaded == computed
         assert all(
             isinstance(cell, tuple) and isinstance(n, int)
@@ -90,20 +112,34 @@ class TestRoundTrip:
         )
         assert fresh.kind_stats()["visit_counts"]["misses"] == 0
 
+    def test_hashed_keys_stay_in_memory(self, tmp_path):
+        warm = AnalysisCache(spill_dir=tmp_path)
+        computed = pois_of(_trace(5), cache=warm)
+        assert computed
+        assert warm.trace_key(_trace(5)).startswith("t:")
+        assert _spilled_keys(tmp_path) == []
+        # The memory LRU still serves the repeat.
+        assert pois_of(_trace(5), cache=warm) is computed
+
+        fresh = AnalysisCache(spill_dir=tmp_path)
+        assert pois_of(_clone(_trace(5)), cache=fresh) == computed
+        assert fresh.kind_stats()["stay_points"]["misses"] == 1
+        assert fresh.stats["spill_hits"] == 0
+
 
 class TestSpillHygiene:
     def test_corrupt_record_is_quarantined_and_recomputed(self, tmp_path):
         warm = AnalysisCache(spill_dir=tmp_path)
-        computed = stay_points_of(_trace(3), cache=warm)
+        trace = _seeded(warm, _trace(3))
+        computed = stay_points_of(trace, cache=warm)
         spill = AnalysisSpill(tmp_path)
-        key = (warm.trace_key(_trace(3)), "stay_points",
-               "200.0|900.0")
+        key = (warm.trace_key(trace), "stay_points", "200.0|900.0")
         path = spill._path_of(key)
         assert path.exists()
         path.write_text(path.read_text()[:20])  # torn write
 
         fresh = AnalysisCache(spill_dir=tmp_path)
-        recomputed = stay_points_of(_clone(_trace(3)), cache=fresh)
+        recomputed = stay_points_of(_seeded(fresh, _trace(3)), cache=fresh)
         assert recomputed == computed
         assert fresh.kind_stats()["stay_points"]["misses"] == 1
         assert path.with_name(path.name + ".corrupt").exists()
@@ -113,7 +149,7 @@ class TestSpillHygiene:
 
     def test_wrong_key_under_digest_is_quarantined(self, tmp_path):
         spill = AnalysisSpill(tmp_path)
-        key = ("t:" + "a" * 64, "stay_points", "200.0|900.0")
+        key = ("d:fp:user", "stay_points", "200.0|900.0")
         path = spill._path_of(key)
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps({
@@ -125,13 +161,16 @@ class TestSpillHygiene:
         assert path.with_name(path.name + ".corrupt").exists()
 
     def test_only_closed_families_spill(self):
-        key = ("t:" + "a" * 64, "stay_points", "sig")
-        assert AnalysisSpill.handles(key, "stay_points")
+        key = ("d:fp:user", "stay_points", "sig")
         for kind in SPILLABLE_KINDS:
             assert AnalysisSpill.handles(key, kind)
         assert not AnalysisSpill.handles(key, "poi_fingerprint")
         # Non-string key parts have no stable digest; stay in memory.
-        assert not AnalysisSpill.handles(("t:x", 42), "stay_points")
+        assert not AnalysisSpill.handles(("d:fp:user", 42), "stay_points")
+        # Hashed keys (per-job protected traces) stay in memory.
+        hashed = ("t:" + "a" * 64, "stay_points", "sig")
+        for kind in SPILLABLE_KINDS:
+            assert not AnalysisSpill.handles(hashed, kind)
 
     def test_store_swallows_io_errors(self, tmp_path):
         blocker = tmp_path / "blocked"
@@ -140,7 +179,8 @@ class TestSpillHygiene:
         spill.store(("t:" + "b" * 64, "stay_points", "sig"),
                     "stay_points", ())  # must not raise
         cache = AnalysisCache(spill_dir=blocker / "nested")
-        assert stay_points_of(_trace(4), cache=cache) is not None
+        assert stay_points_of(_seeded(cache, _trace(4)), cache=cache) \
+            is not None
 
 
 class TestEngineIntegration:
@@ -159,17 +199,25 @@ class TestEngineIntegration:
 
         # A "fresh process": no disk result cache (so every evaluation
         # really re-executes), but the analysis spill of the first
-        # engine attached — protections are deterministic, so every
-        # artifact (actual AND protected side) is already on disk.
+        # engine attached.  The actual side (seeded keys) is on disk;
+        # the protected side (hashed keys) never was.
         fresh = EvaluationEngine(engine="serial")
         fresh.analysis.attach_spill(tmp_path / "analysis")
         repeat = fresh.run(system, taxi_dataset, jobs)
         assert not any(r.cached for r in repeat)
         assert [(r.privacy, r.utility) for r in repeat] == \
             [(r.privacy, r.utility) for r in results]
+        # The metric extracts a protected trace's POIs only for users
+        # with actual-side POIs: exactly those are recomputed, once per
+        # job, and no actual-side artifact is.
+        with_pois = sum(
+            1 for trace in taxi_dataset.traces
+            if pois_of(trace, cache=AnalysisCache())
+        )
+        assert with_pois > 0
         kind = fresh.analysis.kind_stats()
-        assert kind["stay_points"]["misses"] == 0
-        assert kind["pois"]["misses"] == 0
+        assert kind["stay_points"]["misses"] == len(jobs) * with_pois
+        assert kind["pois"]["misses"] == len(jobs) * with_pois
         assert fresh.analysis.stats["spill_hits"] > 0
 
     def test_cache_dir_engine_spills_automatically(
@@ -181,6 +229,25 @@ class TestEngineIntegration:
             [EvalJob.make({"epsilon": 0.01}, seed=0)],
         )
         assert list((tmp_path / "analysis").glob("*/*.json"))
+
+    def test_cold_recommend_spills_no_hashed_key(self, tmp_path):
+        # What `serve --cache-dir DIR` builds: an engine over DIR and
+        # DIR as the shared directory.
+        service = ConfigService(
+            engine=EvaluationEngine(engine="serial", cache_dir=tmp_path),
+            workers=1,
+            shared_dir=tmp_path,
+        )
+        with ServiceClient(service) as client:
+            client.recommend(
+                {"workload": "taxi", "users": 2, "seed": 11},
+                [{"kind": "privacy", "op": "<=", "target": 0.1},
+                 {"kind": "utility", "op": ">=", "target": 0.8}],
+                points=4, replications=1,
+            )
+        keys = _spilled_keys(tmp_path / "analysis")
+        assert keys
+        assert all(key[0].startswith("d:") for key in keys)
 
     def test_memory_only_engine_does_not_spill(self, taxi_dataset):
         engine = EvaluationEngine(engine="serial")
