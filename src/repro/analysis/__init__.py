@@ -14,8 +14,9 @@ that the metrics, attacks and property extractors call instead of the
 raw pipelines.  The evaluation engine owns one cache per instance,
 installs it ambiently for the batches it runs (:func:`use_cache`) and
 reports its counters through ``engine.stats`` and the service's
-``/metrics``; process-pool workers hold a per-process default cache
-seeded with the dataset fingerprint by the pool initializer.
+``/metrics``; process-pool workers hold a per-process default cache,
+seeded with the dataset fingerprint whenever a task ships them a new
+dataset.
 
 See ``docs/performance.md`` for where this cache sits among the
 library's other caching layers.
@@ -27,6 +28,7 @@ from .cache import (
     AnalysisCache,
     current_cache,
     default_cache,
+    reset_ambient,
     use_cache,
 )
 from .signature import stable_repr
@@ -39,6 +41,7 @@ __all__ = [
     "DEFAULT_MAX_ENTRIES",
     "current_cache",
     "default_cache",
+    "reset_ambient",
     "use_cache",
     "stable_repr",
     "pois_of",

@@ -41,6 +41,7 @@ __all__ = [
     "WeakIdentityMemo",
     "current_cache",
     "default_cache",
+    "reset_ambient",
     "use_cache",
 ]
 
@@ -200,9 +201,9 @@ class AnalysisCache:
         ``d:<fingerprint>:<user>`` — content-addressed through the
         dataset's own fingerprint, with no per-trace hashing.  The
         engine calls this with the fingerprint it already computed for
-        result caching; process-pool workers call it from their
-        initializer, which is how a worker's cache is seeded by
-        fingerprint rather than by shipping pickled artifacts.
+        result caching; process-pool workers call it whenever a task
+        ships them a new dataset, which is how a worker's cache is
+        seeded by fingerprint rather than by shipping pickled artifacts.
         Idempotent and O(1) per repeat call for a seen dataset object.
 
         Seeding also raises the LRU bound to fit the announced dataset
@@ -360,6 +361,17 @@ def current_cache() -> AnalysisCache:
     """The cache ambient on this thread: installed or the default."""
     cache = getattr(_tls, "cache", None)
     return cache if cache is not None else _default
+
+
+def reset_ambient() -> None:
+    """Uninstall whatever cache is installed on this thread.
+
+    A process forked inside :func:`use_cache` inherits the forking
+    thread's installed cache: a stale copy of its owner's LRU that
+    nothing in the child maintains.  Pool workers call this first, so
+    their metrics read :func:`default_cache`.
+    """
+    _tls.cache = None
 
 
 @contextmanager

@@ -7,21 +7,17 @@ per-(seed, user) RNG derivation (independent of trace order and of the
 process doing the work), this makes process-parallel results
 bit-identical to serial ones.
 
-Two levels of parallelism are used, chosen by batch shape:
+There is one level of parallelism: each (params, seed) job is one task.
+The process backend keeps a single worker pool for its whole life and
+ships the work with every task — the batch's (system signature, dataset
+fingerprint) key plus the ``(system, dataset)`` pair pickled once per
+batch.  A worker unpickles only when the key changes, so a sweep pays
+for its dataset once per worker, and a new dataset costs a pickle
+instead of a pool.  A whole batch is submitted at once and each result
+is handed back as it completes; a lone job is simply a one-task batch.
 
-* **job-level** — each (params, seed) job is one task; the natural fit
-  for sweeps, where a batch holds dozens of independent jobs;
-* **trace-level** — with fewer jobs than workers (e.g. a single
-  verification evaluation), each job runs in the parent but fans its
-  per-trace protection out to the pool through the ``mapper`` hook of
-  :meth:`repro.lppm.LPPM.protect`.
-
-Protection without a ``mapper`` — the serial backend, and every job
-executed *inside* a pool worker — routes through the columnar
-``protect_block`` path over ``Dataset.columns()``, so both backends get
-the vectorised mechanisms for free; only the lone-job trace-level fan
-out keeps the picklable per-trace function.  All three paths are
-bit-identical by the LPPM layer's construction.
+Protection always takes the columnar ``protect_block`` path over
+``Dataset.columns()``, in-process or inside a worker alike.
 """
 
 from __future__ import annotations
@@ -29,14 +25,22 @@ from __future__ import annotations
 import abc
 import multiprocessing
 import os
+import pickle
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..resilience.events import record_event
 from ..resilience.faults import fire as _fire_fault
-from .jobs import EvalJob
+from .jobs import EvalJob, dataset_fingerprint, system_signature
 
 if TYPE_CHECKING:
     from ..framework.spec import SystemDefinition
@@ -50,6 +54,12 @@ __all__ = [
     "default_max_workers",
 ]
 
+#: Called as ``on_result(index, (privacy, utility))`` once per job.
+OnResult = Callable[[int, Tuple[float, float]], None]
+
+#: How often a waiting pool backend polls ``check`` (seconds).
+_POLL_S = 0.1
+
 
 def default_max_workers() -> int:
     """Worker count when the caller does not specify one."""
@@ -60,25 +70,16 @@ def execute_job(
     system: "SystemDefinition",
     dataset: "Dataset",
     job: EvalJob,
-    mapper=None,
 ) -> Tuple[float, float]:
     """Run one protect + measure execution; the single source of truth.
 
-    ``mapper`` is forwarded to :meth:`LPPM.protect` so callers can
-    parallelise the per-trace protection without touching the metric
-    evaluation (metrics see whole datasets).  Without one, protection
-    takes the columnar block path (vectorised where the mechanism
-    supports it); the dataset's planar block is memoised on the
-    ``Dataset``, so every job over the same dataset shares one
+    Protection takes the columnar block path (vectorised where the
+    mechanism supports it); the dataset's planar block is memoised on
+    the ``Dataset``, so every job over the same dataset shares one
     concatenation.
     """
     lppm = system.make_lppm(**job.params_dict)
-    if mapper is None:
-        # No keyword: mechanisms that override protect() with the
-        # historical (dataset, seed) signature keep working serially.
-        protected = lppm.protect(dataset, seed=job.seed)
-    else:
-        protected = lppm.protect(dataset, seed=job.seed, mapper=mapper)
+    protected = lppm.protect(dataset, seed=job.seed)
     privacy = system.privacy_metric.evaluate(dataset, protected)
     utility = system.utility_metric.evaluate(dataset, protected)
     return (float(privacy), float(utility))
@@ -90,12 +91,11 @@ class ExecutionBackend(abc.ABC):
     #: Human-readable backend name (mirrors the CLI ``--engine`` knob).
     name: str = "abstract"
 
-    #: Re-entrant lock a caller should hold across a *series* of
-    #: :meth:`run` calls for one logical batch, or ``None`` when the
-    #: backend is stateless.  The engine submits chunked batches; for
-    #: pooled backends, interleaving chunks from different (system,
-    #: dataset) pairs would rebuild the warm pool on every alternation,
-    #: so the engine leases the backend for the whole chunk series.
+    #: Re-entrant lock a caller should hold across one logical batch,
+    #: or ``None`` when the backend is stateless.  Pool workers hold
+    #: one dataset at a time, so interleaving two batches over
+    #: different datasets would make them swap datasets on every
+    #: alternation; the engine leases the backend for the whole batch.
     batch_lock: Optional[threading.RLock] = None
 
     @abc.abstractmethod
@@ -105,12 +105,18 @@ class ExecutionBackend(abc.ABC):
         dataset: "Dataset",
         jobs: Sequence[EvalJob],
         key: Optional[Tuple[str, str]] = None,
+        on_result: Optional[OnResult] = None,
+        check: Optional[Callable[[], None]] = None,
     ) -> List[Tuple[float, float]]:
         """(privacy, utility) per job, in job order.
 
         ``key`` is an optional (system signature, dataset fingerprint)
-        content key; pooled backends use it to recognise "same work,
-        new objects" and keep their workers warm.
+        content key for the pair.  ``on_result`` is called once per
+        job as it completes, in completion order.  ``check`` is called
+        before the first job, whenever a completion leaves work
+        pending, and periodically while waiting; if it (or
+        ``on_result``) raises, jobs not yet started are abandoned and
+        the exception propagates.
         """
 
 
@@ -119,71 +125,77 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def run(self, system, dataset, jobs, key=None):
-        return [execute_job(system, dataset, job) for job in jobs]
+    def run(self, system, dataset, jobs, key=None, on_result=None,
+            check=None):
+        values = []
+        for i, job in enumerate(jobs):
+            if check is not None:
+                check()
+            value = execute_job(system, dataset, job)
+            values.append(value)
+            if on_result is not None:
+                on_result(i, value)
+        return values
 
 
 # ----------------------------------------------------------------------
 # Process pool
 # ----------------------------------------------------------------------
-# Worker-side globals, installed once per worker by the pool
-# initializer so the (potentially large) dataset is not re-pickled with
-# every job.
-_WORKER_SYSTEM: Optional["SystemDefinition"] = None
-_WORKER_DATASET: Optional["Dataset"] = None
+# Worker-side state: the (system, dataset) pair the last task shipped,
+# under its content key.  A task with the same key reuses it.
+_WORKER_KEY: Optional[Tuple[str, str]] = None
+_WORKER_PAIR: Optional[tuple] = None
 
 
-def _init_worker(
-    system: "SystemDefinition",
-    dataset: "Dataset",
-    dataset_fp: Optional[str] = None,
-    analysis_spill_dir: Optional[str] = None,
-) -> None:
-    global _WORKER_SYSTEM, _WORKER_DATASET
-    _WORKER_SYSTEM = system
-    _WORKER_DATASET = dataset
-    if dataset_fp is not None or analysis_spill_dir is not None:
+def _init_worker(analysis_spill_dir: Optional[str]) -> None:
+    from ..analysis import default_cache, reset_ambient
+
+    # The pool forks inside the engine's use_cache(): drop the
+    # inherited copy of the parent's cache so metrics read this
+    # process's own default cache, the one _run_in_worker seeds.
+    reset_ambient()
+    if analysis_spill_dir is not None:
+        # Join the engine's shared spill directory: this worker's
+        # extractions persist for siblings and restarts, and it
+        # starts warm from theirs.
+        default_cache().attach_spill(analysis_spill_dir)
+
+
+def _run_in_worker(
+    key: Tuple[str, str], payload: bytes, job: EvalJob
+) -> Tuple[float, float]:
+    global _WORKER_KEY, _WORKER_PAIR
+    if key != _WORKER_KEY:
         from ..analysis import default_cache
 
+        system, dataset = pickle.loads(payload)
         cache = default_cache()
-        if dataset_fp is not None:
-            # Seed the worker's process-local analysis cache by
-            # fingerprint (artifacts are computed in-worker and
-            # memoised there, never pickled across the process
-            # boundary): every job this worker runs shares one
-            # actual-side stay-point/POI extraction.
-            cache.seed_dataset(dataset, dataset_fp)
-        if analysis_spill_dir is not None:
-            # Join the engine's shared spill directory: this worker's
-            # extractions persist for siblings and restarts, and it
-            # starts warm from theirs.
-            cache.attach_spill(analysis_spill_dir)
-
-
-def _run_job_in_worker(job: EvalJob) -> Tuple[float, float]:
-    assert _WORKER_SYSTEM is not None and _WORKER_DATASET is not None
-    return execute_job(_WORKER_SYSTEM, _WORKER_DATASET, job)
+        if _WORKER_KEY is None or _WORKER_KEY[1] != key[1]:
+            # One dataset per worker: the previous dataset's artifacts
+            # (actual side and protected side) go before the new
+            # dataset is seeded by fingerprint.
+            cache.clear()
+        cache.seed_dataset(dataset, key[1])
+        _WORKER_KEY, _WORKER_PAIR = key, (system, dataset)
+    system, dataset = _WORKER_PAIR
+    return execute_job(system, dataset, job)
 
 
 class ProcessPoolBackend(ExecutionBackend):
     """``concurrent.futures`` process pool; bit-identical to serial.
 
-    Pools persist across :meth:`run` calls: the job-level pool keeps
-    its (system, dataset) initializer payload until a batch arrives for
-    a different pair, so iterative callers (ALP probes, refinement
-    bisection) do not pay pool startup plus dataset shipping on every
-    step.  Call :meth:`close` (or rely on finalisation) to release the
-    worker processes.
+    One pool serves every :meth:`run` for the backend's whole life:
+    tasks carry their (system, dataset) payload, so a batch over a new
+    dataset needs no new processes.  A crashed worker (OOM-killed,
+    segfaulted, injected) breaks the pool; the backend then builds one
+    fresh pool and replays only the jobs that have no result yet, and a
+    second crash in the same batch finishes the rest serially.  Call
+    :meth:`close` (or rely on finalisation) to release the workers.
 
-    The backend is a singleton resource with mutable pool state, so
-    :meth:`run` and :meth:`close` serialise on :attr:`batch_lock` —
-    without it, a concurrent batch for a *different* (system, dataset)
-    pair would shut the pool down under a running ``map``.  The lock is
-    re-entrant and public: the engine holds it across one batch's whole
-    chunk series, so two concurrent sweeps over different datasets
-    alternate per *batch* (one pool rebuild each) instead of per chunk
-    (a rebuild every alternation).  The protect + measure work inside a
-    batch still parallelises across the pool's processes.
+    :meth:`run` and :meth:`close` serialise on :attr:`batch_lock`, so
+    two concurrent batches take turns instead of interleaving datasets
+    on the workers; the protect + measure work inside a batch still
+    parallelises across the pool's processes.
 
     Parameters
     ----------
@@ -210,24 +222,20 @@ class ProcessPoolBackend(ExecutionBackend):
             if analysis_spill_dir is not None else None
         )
         self.batch_lock = threading.RLock()
-        # Guards the pool fields and the closed flag.  A forced close
+        # Guards the pool field and the closed flag.  A forced close
         # (timed-out lease) runs WITHOUT batch_lock, so pool selection
         # and teardown must synchronise on this narrower lock; lock
         # order where both are held is batch_lock, then this.
         self._state_lock = threading.Lock()
         # Set by a timed-out close(): the backend is being abandoned at
-        # process exit, and a leaseholder's next chunk must not rebuild
-        # the pools (concurrent.futures' atexit hook would then wait
-        # for them, unbounding the shutdown the timeout bounded).
+        # process exit, and a leaseholder must not rebuild the pool
+        # (concurrent.futures' atexit hook would then wait for it,
+        # unbounding the shutdown the timeout bounded).
         self._closed = False
-        self._job_pool: Optional[ProcessPoolExecutor] = None
-        # What the current job pool's workers hold, as a content key
-        # when the caller supplies one (so equal-but-not-identical
-        # systems/datasets reuse the warm pool) or as strong references
-        # to the exact pair otherwise (pinning ids against recycling).
-        self._job_pool_key: Optional[Tuple[str, str]] = None
-        self._job_pool_for: Optional[tuple] = None
-        self._trace_pool: Optional[ProcessPoolExecutor] = None
+        self._pool: Optional[ProcessPoolExecutor] = None
+        #: Pools started so far: 1 for the backend's life, plus one per
+        #: crash rebuild.
+        self.pools_built = 0
         # Degradation counters, surfaced through degradation events.
         self.pool_rebuilds = 0
         self.serial_fallbacks = 0
@@ -241,79 +249,37 @@ class ProcessPoolBackend(ExecutionBackend):
             return multiprocessing.get_context("fork")
         return multiprocessing.get_context()
 
-    def _check_open(self) -> None:
-        """Refuse pool (re)builds after a forced close.
-
-        Caller holds ``_state_lock``, so the check cannot interleave
-        with the forced close's flag-set-and-null sequence.
-        """
-        if self._closed:
-            raise RuntimeError(
-                "ProcessPoolBackend was force-closed during shutdown"
-            )
-
-    def _job_pool_of(self, system, dataset, key) -> ProcessPoolExecutor:
+    def _pool_of(self) -> ProcessPoolExecutor:
         with self._state_lock:
-            self._check_open()
-            if self._job_pool is not None:
-                if key is not None and self._job_pool_key == key:
-                    # Same content: the workers' baked-in objects
-                    # compute identical results, whichever instances
-                    # they are.
-                    return self._job_pool
-                current = self._job_pool_for
-                if key is None and current is not None and (
-                    current[0] is system and current[1] is dataset
-                ):
-                    return self._job_pool
-                # Idle (batch_lock is held, so nothing is in flight):
-                # this shutdown returns promptly.
-                self._job_pool.shutdown(wait=True)
-            self._job_pool = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                mp_context=self._mp_context(),
-                initializer=_init_worker,
-                initargs=(system, dataset, key[1] if key else None,
-                          self.analysis_spill_dir),
-            )
-            self._job_pool_key = key
-            self._job_pool_for = (system, dataset)
-            return self._job_pool
-
-    def _discard_job_pool(self) -> None:
-        """Release a broken job pool without waiting on its corpses."""
-        with self._state_lock:
-            pool = self._job_pool
-            self._job_pool = None
-            self._job_pool_key = None
-            self._job_pool_for = None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def _discard_trace_pool(self) -> None:
-        with self._state_lock:
-            pool = self._trace_pool
-            self._trace_pool = None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def _trace_pool_of(self, workers: int) -> ProcessPoolExecutor:
-        with self._state_lock:
-            self._check_open()
-            if self._trace_pool is None:
-                self._trace_pool = ProcessPoolExecutor(
-                    max_workers=workers, mp_context=self._mp_context()
+            if self._closed:
+                raise RuntimeError(
+                    "ProcessPoolBackend was force-closed during shutdown"
                 )
-            return self._trace_pool
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.max_workers,
+                    mp_context=self._mp_context(),
+                    initializer=_init_worker,
+                    initargs=(self.analysis_spill_dir,),
+                )
+                self.pools_built += 1
+            return self._pool
+
+    def _discard_pool(self) -> None:
+        """Release a broken pool without waiting on its corpses."""
+        with self._state_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
 
     def close(self, timeout_s: Optional[float] = None) -> None:
-        """Shut down the worker pools (idempotent).
+        """Shut down the worker pool (idempotent).
 
         ``timeout_s`` bounds how long to wait for an in-flight batch's
-        lease.  On timeout the pools are released *without* waiting for
+        lease.  On timeout the pool is released *without* waiting for
         running work — the daemon's SIGTERM path uses this so process
         exit stays bounded by ``--grace`` even when a cancelled job is
-        still mid-chunk (the leaseholder may then see its map fail,
+        still mid-batch (the leaseholder then sees its batch fail,
         which its job worker reports as a failed job; the process is
         exiting either way).
         """
@@ -323,22 +289,16 @@ class ProcessPoolBackend(ExecutionBackend):
             acquired = self.batch_lock.acquire(timeout=max(0.0, timeout_s))
         with self._state_lock:
             if not acquired:
-                # Forced close: refuse rebuilds, or a leaseholder's
-                # next chunk would resurrect a pool the exit path
-                # cannot reap.
+                # Forced close: refuse rebuilds, or the leaseholder
+                # would resurrect a pool the exit path cannot reap.
                 self._closed = True
-            job_pool, trace_pool = self._job_pool, self._trace_pool
-            self._job_pool = None
-            self._job_pool_key = None
-            self._job_pool_for = None
-            self._trace_pool = None
+            pool, self._pool = self._pool, None
         try:
-            for pool in (job_pool, trace_pool):
-                if pool is not None:
-                    if acquired:
-                        pool.shutdown(wait=True)
-                    else:
-                        pool.shutdown(wait=False, cancel_futures=True)
+            if pool is not None:
+                if acquired:
+                    pool.shutdown(wait=True)
+                else:
+                    pool.shutdown(wait=False, cancel_futures=True)
         finally:
             if acquired:
                 self.batch_lock.release()
@@ -349,77 +309,96 @@ class ProcessPoolBackend(ExecutionBackend):
         except Exception:
             pass
 
-    def run(self, system, dataset, jobs, key=None):
+    def run(self, system, dataset, jobs, key=None, on_result=None,
+            check=None):
         jobs = list(jobs)
         if not jobs:
             return []
         if self.max_workers <= 1:
-            return SerialBackend().run(system, dataset, jobs)
+            return SerialBackend().run(
+                system, dataset, jobs, on_result=on_result, check=check
+            )
+        if key is None:
+            key = (system_signature(system), dataset_fingerprint(dataset))
+        payload = pickle.dumps(
+            (system, dataset), protocol=pickle.HIGHEST_PROTOCOL
+        )
+        values: List[Optional[Tuple[float, float]]] = [None] * len(jobs)
+
+        def settle(i: int, value: Tuple[float, float]) -> None:
+            values[i] = value
+            if on_result is not None:
+                on_result(i, value)
+
         with self.batch_lock:
-            if len(jobs) >= 2:
-                # Job-level parallelism: the dataset ships to the
-                # workers once, via the pool initializer.  A crashed
-                # worker (OOM-killed, segfaulted, injected) breaks the
-                # whole pool; results are content-addressed and cached
-                # per chunk, so replaying this batch on a fresh pool is
-                # exactly-once.  A second crash means something
-                # systematic — degrade to serial rather than loop.
-                pool = self._job_pool_of(system, dataset, key)
-                if _fire_fault("pool.crash"):
-                    pool.submit(os._exit, 1)
+            for attempt in (1, 2):
+                todo = [i for i, value in enumerate(values) if value is None]
                 try:
-                    return list(pool.map(_run_job_in_worker, jobs))
+                    self._submit_and_collect(
+                        key, payload, jobs, todo, settle, check
+                    )
+                    return values  # type: ignore[return-value]
                 except BrokenProcessPool:
+                    self._discard_pool()
+                if attempt == 1:
+                    # Results already settled are cached by the caller;
+                    # replaying only the rest keeps execution
+                    # exactly-once.
                     self.pool_rebuilds += 1
                     record_event(
                         "pool.rebuilt",
-                        jobs=len(jobs),
-                        action="replaying the batch on a fresh pool",
+                        jobs=values.count(None),
+                        action="replaying the unfinished jobs on a "
+                               "fresh pool",
                     )
-                    self._discard_job_pool()
-                    pool = self._job_pool_of(system, dataset, key)
-                    if _fire_fault("pool.crash"):
-                        pool.submit(os._exit, 1)
-                    try:
-                        return list(pool.map(_run_job_in_worker, jobs))
-                    except BrokenProcessPool:
-                        self.serial_fallbacks += 1
-                        record_event(
-                            "pool.serial-fallback",
-                            jobs=len(jobs),
-                            action="rebuilt pool crashed too; "
-                                   "running the batch serially",
-                        )
-                        self._discard_job_pool()
-                        return SerialBackend().run(system, dataset, jobs)
-            # A lone job cannot be split across workers at the job
-            # level; parallelise inside it instead, across the
-            # dataset's traces.
-            workers = min(self.max_workers, max(1, len(dataset)))
-            if workers <= 1:
-                return SerialBackend().run(system, dataset, jobs)
-            pool = self._trace_pool_of(workers)
+            # A second crash means something systematic — degrade to
+            # serial rather than loop.
+            todo = [i for i, value in enumerate(values) if value is None]
+            self.serial_fallbacks += 1
+            record_event(
+                "pool.serial-fallback",
+                jobs=len(todo),
+                action="rebuilt pool crashed too; "
+                       "running the rest of the batch serially",
+            )
+            SerialBackend().run(
+                system, dataset, [jobs[i] for i in todo],
+                on_result=lambda k, value: settle(todo[k], value),
+                check=check,
+            )
+            return values  # type: ignore[return-value]
 
-            def trace_mapper(fn, traces):
-                # Chunking bounds how often fn (carrying the LPPM,
-                # which may embed dataset-sized state like an elastic
-                # density prior) is pickled: once per chunk, not once
-                # per trace.
-                chunksize = max(1, len(traces) // workers)
-                return pool.map(fn, traces, chunksize=chunksize)
-
-            try:
-                return [
-                    execute_job(system, dataset, job, mapper=trace_mapper)
-                    for job in jobs
-                ]
-            except BrokenProcessPool:
-                self.serial_fallbacks += 1
-                record_event(
-                    "pool.serial-fallback",
-                    jobs=len(jobs),
-                    action="trace pool crashed; "
-                           "running the batch serially",
+    def _submit_and_collect(self, key, payload, jobs, todo, settle, check):
+        """Submit ``jobs[i]`` for every ``i`` in ``todo`` at once, then
+        settle results as they complete."""
+        if check is not None:
+            check()
+        pool = self._pool_of()
+        futures = {}
+        try:
+            if _fire_fault("pool.crash"):
+                # Waited on like a job, so the batch always sees the
+                # breakage even if the other workers finish every job.
+                futures[pool.submit(os._exit, 1)] = None
+            for i in todo:
+                futures[pool.submit(_run_in_worker, key, payload,
+                                    jobs[i])] = i
+            pending = set(futures)
+            while pending:
+                done, pending = wait(
+                    pending, timeout=_POLL_S, return_when=FIRST_COMPLETED
                 )
-                self._discard_trace_pool()
-                return SerialBackend().run(system, dataset, jobs)
+                failed = None
+                for future in done:
+                    if future.cancelled() or future.exception() is not None:
+                        failed = future
+                    elif futures[future] is not None:
+                        settle(futures[future], future.result())
+                if failed is not None:
+                    failed.result()  # raises
+                if pending and check is not None:
+                    check()
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise

@@ -137,7 +137,7 @@ class ResultCache:
 
         The engine calls this under its bookkeeping lock and defers
         :meth:`write_disk` until after releasing it, so concurrent
-        workers never queue behind another chunk's disk flush.
+        workers never queue behind another job's disk flush.
         """
         self._memory[fingerprint] = (float(privacy), float(utility))
 

@@ -23,13 +23,15 @@ service's job workers rely on this — several jobs drive one engine
 concurrently, each observing its own cost through thread-local
 :meth:`EvaluationEngine.measure` counters.
 
-Long batches execute in *chunks* so that callers can observe progress
-and cancel between chunks: install per-thread hooks with
-:meth:`EvaluationEngine.hooks` and the engine reports completed jobs
-after every chunk and raises :class:`EvaluationCancelled` as soon as
-the cancellation predicate turns true.  Results computed before a
-cancellation are already cached — a resubmitted batch resumes instead
-of restarting.
+A batch's cache misses go to the backend in one submission, and each
+result is handled the moment it completes: it is written to both cache
+tiers, reported through the per-thread hooks installed with
+:meth:`EvaluationEngine.hooks`, and followed by a poll of the
+cancellation predicate (which is also polled while the engine waits).
+Once the predicate turns true the engine abandons the jobs that have
+not started and raises :class:`EvaluationCancelled`, within one job of
+the request.  Results computed before a cancellation are already
+cached — a resubmitted batch resumes instead of restarting.
 """
 
 from __future__ import annotations
@@ -72,26 +74,9 @@ ENGINE_CHOICES = ("auto", "serial", "process")
 
 
 class EvaluationCancelled(RuntimeError):
-    """Raised between execution chunks when the installed cancellation
-    predicate turns true.  Everything computed before the cancellation
-    is already in the result cache."""
-
-
-def _chunk_bounds(n: int, size: int):
-    """(low, high) slice bounds splitting ``n`` items into chunks.
-
-    A trailing 1-item chunk is avoided when chunks are larger than one
-    item: pooled backends treat a lone job specially (trace-level
-    parallelism through a *second* pool), which would spin that pool
-    up mid-batch for the tail of e.g. 9 jobs on 8 workers.  The tail
-    is merged into the previous chunk instead (9 on 8 -> one chunk of
-    9; 5 on 2 -> (2, 3)) — a slightly oversized final chunk costs one
-    extra task per worker at most, a second pool costs a process spawn.
-    """
-    bounds = list(range(0, n, size)) + [n]
-    if size > 1 and len(bounds) >= 3 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return zip(bounds[:-1], bounds[1:])
+    """Raised between jobs when the installed cancellation predicate
+    turns true.  Everything computed before the cancellation is
+    already in the result cache."""
 
 
 class _Hooks:
@@ -99,7 +84,8 @@ class _Hooks:
 
     ``batch_start(n)`` announces that ``n`` jobs entered :meth:`run`;
     ``jobs_done(n)`` reports ``n`` of them completed (cache hits count
-    immediately); ``should_cancel()`` is polled between chunks.
+    immediately); ``should_cancel()`` is polled after every completed
+    job and while waiting on the backend.
     """
 
     __slots__ = ("batch_start", "jobs_done", "should_cancel")
@@ -131,11 +117,11 @@ class EvaluationEngine:
     ----------
     engine:
         ``"serial"`` (default) runs in-process; ``"process"`` always
-        uses the pool (and fans a lone job's per-trace protection out
-        to it); ``"auto"`` picks the pool per batch when more than one
-        job misses the cache and more than one worker is available —
-        single-job batches stay serial under ``"auto"``, since pool
-        overhead usually beats the win on one evaluation.
+        uses the pool (a lone job is a one-task batch on it);
+        ``"auto"`` picks the pool per batch when more than one job
+        misses the cache and more than one worker is available —
+        single-job batches stay serial under ``"auto"``, since there
+        is nothing to spread.
     jobs:
         Worker count for the process backend (default: CPU count).
     cache_dir:
@@ -167,9 +153,10 @@ class EvaluationEngine:
         #: Derived-artifact cache (stay points, POIs, heatmap counts)
         #: shared by every batch this engine runs in-process; pooled
         #: workers hold their own per-process cache, seeded with the
-        #: dataset fingerprint by the pool initializer.  Its LRU bound
-        #: grows to fit whatever dataset a batch announces, so large
-        #: fleets cannot thrash their own actual-side artifacts.
+        #: dataset fingerprint when a task ships them a new dataset.
+        #: Its LRU bound grows to fit whatever dataset a batch
+        #: announces, so large fleets cannot thrash their own
+        #: actual-side artifacts.
         self.analysis = AnalysisCache(spill_dir=self._analysis_spill_dir)
         self._serial = SerialBackend()
         self._process: Optional[ProcessPoolBackend] = None
@@ -196,9 +183,10 @@ class EvaluationEngine:
         """Install progress/cancellation hooks for the calling thread.
 
         Inside the ``with`` block, every :meth:`run` on this thread
-        announces its batch size, reports completions chunk by chunk,
-        and polls ``should_cancel`` between chunks (raising
-        :class:`EvaluationCancelled` when it returns true).  The
+        announces its batch size, reports completions job by job, and
+        polls ``should_cancel`` after each one and while it waits
+        (raising :class:`EvaluationCancelled` when it returns true).
+        The
         service's job manager wraps each job execution in exactly one
         of these blocks.
         """
@@ -239,7 +227,7 @@ class EvaluationEngine:
         if hooks is not None and hooks.should_cancel is not None \
                 and hooks.should_cancel():
             raise EvaluationCancelled(
-                "evaluation batch cancelled between chunks"
+                "evaluation batch cancelled between jobs"
             )
 
     # ------------------------------------------------------------------
@@ -262,17 +250,6 @@ class EvaluationEngine:
         if self.max_workers > 1 and n_misses > 1:
             return self._process_backend()
         return self._serial
-
-    def _chunk_size(self, backend: ExecutionBackend) -> int:
-        """Jobs per execution chunk: the progress/cancel granularity.
-
-        Serial execution reports after every job; a pooled backend
-        keeps every worker busy within a chunk, so progress lands at
-        worker-count strides and cancellation reacts within one stride.
-        """
-        if backend is self._serial:
-            return 1
-        return max(1, self.max_workers)
 
     # ------------------------------------------------------------------
     # Fingerprinting
@@ -302,9 +279,9 @@ class EvaluationEngine:
         not count as executions; duplicate jobs within the batch are
         executed once, with only the first occurrence marked as a real
         execution.  With :meth:`hooks` installed on the calling thread,
-        progress is reported as chunks complete and the batch raises
-        :class:`EvaluationCancelled` between chunks once the predicate
-        turns true (already-computed chunks stay cached).
+        progress is reported as jobs complete and the batch raises
+        :class:`EvaluationCancelled` between jobs once the predicate
+        turns true (already-computed results stay cached).
         """
         jobs = list(jobs)
         if not jobs:
@@ -375,14 +352,11 @@ class EvaluationEngine:
         if pending:
             with self._lock:
                 backend = self._backend_for(len(pending))
-            chunk_size = self._chunk_size(backend)
-            items = list(pending.items())
-            # Lease a stateful backend for the whole chunk series: two
-            # concurrent batches over different datasets then alternate
-            # per batch (one warm-pool rebuild each) instead of per
-            # chunk (a rebuild at every alternation).  Acquisition
-            # polls the cancellation hook so a queued batch can still
-            # be cancelled while it waits for the backend.
+            # Lease a stateful backend for the whole batch, so two
+            # concurrent batches over different datasets take turns on
+            # the pool instead of swapping datasets on its workers.
+            # Acquisition polls the cancellation hook so a queued batch
+            # can still be cancelled while it waits for the backend.
             lease = backend.batch_lock
             if lease is not None:
                 if hooks is None or hooks.should_cancel is None:
@@ -394,81 +368,78 @@ class EvaluationEngine:
                     while not lease.acquire(timeout=0.1):
                         self._check_cancelled(hooks)
             try:
-                for low, high in _chunk_bounds(len(items), chunk_size):
-                    chunk = items[low:high]
-                    self._check_cancelled(hooks)
-                    # Re-probe before executing: a concurrent batch may
-                    # have computed these jobs while this one waited
-                    # for the lease (or ran its earlier chunks) — a
-                    # repeat must stay free, not run twice.
-                    settled = 0
-                    fresh = []
-                    with self._lock:
-                        for fp, indices in chunk:
-                            hit = self.cache.peek_memory(fp)
-                            if hit is None:
-                                fresh.append((fp, indices))
-                                continue
-                            for i in indices:
-                                results[i] = EvalResult(
-                                    job=jobs[i], privacy=hit[0],
-                                    utility=hit[1], cached=True,
-                                    fingerprint=fp,
-                                )
-                            settled += len(indices)
-                    if hooks is not None and hooks.jobs_done is not None \
-                            and settled:
-                        hooks.jobs_done(settled)
-                    if not fresh:
-                        continue
-                    chunk = fresh
-                    to_run = [jobs[indices[0]] for _, indices in chunk]
-                    # The engine's analysis cache is ambient while the
-                    # backend runs: serial (and lone-job trace-level)
-                    # execution evaluates metrics on this thread and
-                    # hits it directly; pooled workers ignore it and
-                    # use their own per-process cache instead.
-                    with use_cache(self.analysis):
-                        values = backend.run(
-                            system, dataset, to_run, key=(sig, ds_fp)
-                        )
-                    with self._lock:
-                        # Only dict writes and counters under the lock;
-                        # the disk tier is flushed after releasing it so
-                        # other workers' bookkeeping never queues behind
-                        # IO.
-                        self._note_executions(len(to_run))
-                        for (fp, _), (privacy, utility) in zip(
-                            chunk, values
-                        ):
-                            self.cache.put_memory(fp, privacy, utility)
-                    for (fp, indices), (privacy, utility) in zip(
-                        chunk, values
-                    ):
-                        job = jobs[indices[0]]
-                        self.cache.write_disk(
-                            fp, privacy, utility,
-                            provenance={
-                                "system_name": system.name,
-                                "params": job.params_dict,
-                                "seed": job.seed,
-                                "dataset_fingerprint": ds_fp,
-                            },
-                        )
-                        for rank, i in enumerate(indices):
-                            results[i] = EvalResult(
-                                job=jobs[i], privacy=privacy,
-                                utility=utility, cached=rank > 0,
-                                fingerprint=fp,
-                            )
-                    if hooks is not None and hooks.jobs_done is not None:
-                        hooks.jobs_done(
-                            sum(len(indices) for _, indices in chunk)
-                        )
+                self._execute(
+                    system, dataset, jobs, pending, results, hooks,
+                    backend, (sig, ds_fp),
+                )
             finally:
                 if lease is not None:
                     lease.release()
         return results  # type: ignore[return-value]
+
+    def _execute(self, system, dataset, jobs, pending, results, hooks,
+                 backend, key) -> None:
+        """Run the ``pending`` misses on ``backend``, filling
+        ``results`` and both cache tiers as each job completes."""
+        # Re-probe before executing: a concurrent batch may have
+        # computed these jobs while this one waited for the lease — a
+        # repeat must stay free, not run twice.
+        settled = 0
+        fresh = []
+        with self._lock:
+            for fp, indices in pending.items():
+                hit = self.cache.peek_memory(fp)
+                if hit is None:
+                    fresh.append((fp, indices))
+                    continue
+                for i in indices:
+                    results[i] = EvalResult(
+                        job=jobs[i], privacy=hit[0], utility=hit[1],
+                        cached=True, fingerprint=fp,
+                    )
+                settled += len(indices)
+        if hooks is not None and hooks.jobs_done is not None and settled:
+            hooks.jobs_done(settled)
+        if not fresh:
+            return
+
+        def on_result(k: int, value: Tuple[float, float]) -> None:
+            fp, indices = fresh[k]
+            privacy, utility = value
+            with self._lock:
+                # Only dict writes and counters under the lock; the
+                # disk tier is written after releasing it so other
+                # callers' bookkeeping never queues behind IO.
+                self._note_executions(1)
+                self.cache.put_memory(fp, privacy, utility)
+            job = jobs[indices[0]]
+            self.cache.write_disk(
+                fp, privacy, utility,
+                provenance={
+                    "system_name": system.name,
+                    "params": job.params_dict,
+                    "seed": job.seed,
+                    "dataset_fingerprint": key[1],
+                },
+            )
+            for rank, i in enumerate(indices):
+                results[i] = EvalResult(
+                    job=jobs[i], privacy=privacy, utility=utility,
+                    cached=rank > 0, fingerprint=fp,
+                )
+            if hooks is not None and hooks.jobs_done is not None:
+                hooks.jobs_done(len(indices))
+
+        # The engine's analysis cache is ambient while the backend
+        # runs: serial execution evaluates metrics on this thread and
+        # hits it directly; pool workers use their own per-process
+        # cache instead.
+        with use_cache(self.analysis):
+            backend.run(
+                system, dataset, [jobs[indices[0]] for _, indices in fresh],
+                key=key, on_result=on_result,
+                check=lambda: self._check_cancelled(hooks),
+            )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -505,9 +476,8 @@ class EvaluationEngine:
         the derived-artifact cache's counters
         (:attr:`AnalysisCache.stats`) under the same roof.  With the
         process backend those counters cover only work done in this
-        process (cache hits, lone-job trace-level batches); pooled
-        workers cache in their own processes, whose counters are not
-        aggregated here.
+        process; pooled workers cache in their own processes, whose
+        counters are not aggregated here.
         """
         with self._lock:
             stats = {"executions": self.n_executions, **self.cache.stats}

@@ -19,10 +19,8 @@ import inspect
 from typing import (
     Callable,
     Dict,
-    Iterable,
     List,
     Mapping,
-    Sequence,
     Tuple,
     Type,
 )
@@ -40,19 +38,12 @@ __all__ = [
     "primary_param",
 ]
 
-#: A map-like callable: ``mapper(fn, traces)`` applies ``fn`` to every
-#: trace, preserving order.  ``fn`` is picklable (a partial over a
-#: module-level function), so process pools qualify.
-TraceMapper = Callable[[Callable[[Trace], Trace], Sequence[Trace]], Iterable[Trace]]
-
-
 def _protect_single_trace(lppm: "LPPM", seed: int, trace: Trace) -> Trace:
     """Protect one trace with its own (seed, user)-derived generator.
 
-    Module-level (not a closure) so execution backends can ship it to
-    worker processes; the RNG derivation lives here, next to the work,
-    which keeps parallel protection bit-identical to serial regardless
-    of the order or the process in which traces are handled.
+    The RNG derivation lives here, next to the work, which keeps the
+    output independent of the order or the process in which traces
+    are handled.
     """
     rng = LPPM._trace_rng(seed, trace.user)
     return lppm.protect_trace(trace, rng)
@@ -100,7 +91,7 @@ def _block_rng() -> Callable[[int, str], np.random.Generator]:
     consume each trace's draws before restoring the next.  Not suitable
     when ``rng.spawn`` is needed (the reused bit generator's seed
     sequence is a dummy), which is why :meth:`LPPM._trace_rng` still
-    builds the real thing for the fallback and mapper paths.
+    builds the real thing for the per-trace fallback path.
     """
     bit_gen = np.random.PCG64(0)
     rng = np.random.Generator(bit_gen)
@@ -219,34 +210,22 @@ class LPPM(abc.ABC):
     def params(self) -> Mapping[str, float]:
         """The mechanism's configuration parameters, by name."""
 
-    def protect(
-        self, dataset: Dataset, seed: int = 0, mapper: "TraceMapper" = None
-    ) -> Dataset:
+    def protect(self, dataset: Dataset, seed: int = 0) -> Dataset:
         """Protect every trace of ``dataset`` deterministically.
 
         Each trace gets an independent generator derived from ``seed``
         and the user id, so protecting a subset of users yields exactly
         the same protected traces as protecting the full dataset.
 
-        ``mapper`` lets execution backends parallelise the per-trace
-        work: it receives a picklable per-trace function and the trace
-        list, and must apply the function to every trace in order (the
-        contract of ``map``).  Because each trace's generator depends
-        only on (seed, user id), any order of execution — or process
-        placement — produces bit-identical output.
-
-        Without a mapper, protection runs through the columnar block
-        path (:meth:`protect_block` over :meth:`Dataset.columns`):
+        Protection runs through the columnar block path
+        (:meth:`protect_block` over :meth:`Dataset.columns`):
         vectorised mechanisms cover the whole dataset in one kernel
         call, everything else takes the per-trace fallback — both
-        bit-identical to mapping trace by trace.
+        bit-identical to protecting trace by trace.
         """
-        if mapper is None:
-            protected = self.protect_block(dataset.columns(), seed)
-        else:
-            fn = functools.partial(_protect_single_trace, self, seed)
-            protected = list(mapper(fn, dataset.traces))
-        return Dataset.from_traces(protected)
+        return Dataset.from_traces(
+            self.protect_block(dataset.columns(), seed)
+        )
 
     def protect_block(self, block: TraceBlock, seed: int) -> List[Trace]:
         """Protect every trace of a columnar block, in block order.

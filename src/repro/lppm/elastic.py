@@ -110,16 +110,12 @@ class ElasticGeoIndistinguishability(LPPM):
     def params(self) -> Mapping[str, float]:
         return {"epsilon": self.epsilon, "exponent": self.exponent}
 
-    def protect(
-        self, dataset: Dataset, seed: int = 0, mapper=None
-    ) -> Dataset:
+    def protect(self, dataset: Dataset, seed: int = 0) -> Dataset:
         """Protect a dataset, building the density prior from it if absent.
 
         When no :class:`DensityMap` was supplied, the whole dataset
         (not each trace alone) defines the density — the elastic metric
         models where *people in general* are, not where this user is.
-        The prior is built *before* the traces fan out to ``mapper``,
-        so parallel workers all see the same background knowledge.
         """
         if self.density is None:
             prior = DensityMap.from_dataset(dataset, self.cell_size_m)
@@ -127,8 +123,8 @@ class ElasticGeoIndistinguishability(LPPM):
                 self.epsilon, self.exponent, self.max_scale,
                 self.cell_size_m, prior,
             )
-            return LPPM.protect(elastic, dataset, seed, mapper=mapper)
-        return LPPM.protect(self, dataset, seed, mapper=mapper)
+            return LPPM.protect(elastic, dataset, seed)
+        return LPPM.protect(self, dataset, seed)
 
     def epsilons_for(self, trace: Trace, density: DensityMap) -> np.ndarray:
         """Per-point effective epsilons for ``trace`` under ``density``."""

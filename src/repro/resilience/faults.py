@@ -6,8 +6,8 @@ the process-wide injector whether to misbehave::
     disk.read       _load_payload raises OSError(EIO) before reading
     disk.write      write_json_atomic raises OSError(ENOSPC); the
                     ``partial`` value first leaves a torn file behind
-    pool.crash      the process backend hard-kills a pool worker so the
-                    next batch surfaces BrokenProcessPool
+    pool.crash      the process backend hard-kills a pool worker as it
+                    submits a batch, which then surfaces BrokenProcessPool
     handler.slow    the request handler sleeps (value = seconds,
                     deadline-aware) before doing any work
     handler.error   the request handler raises RuntimeError

@@ -17,7 +17,7 @@ Endpoints::
     POST /jobs        run sweep/configure/recommend asynchronously (202)
     GET  /jobs        list live jobs + worker-pool counters
     GET  /jobs/<id>   job status, progress, result when done
-    DELETE /jobs/<id> cancel a job (cooperative, between engine chunks)
+    DELETE /jobs/<id> cancel a job (cooperative, between engine jobs)
     GET  /datasets    list registered scenarios + dataset-cache stats
     POST /datasets    register a named scenario (201)
     POST /stream/<session>         push a chunk of live location updates

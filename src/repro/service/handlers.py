@@ -638,7 +638,7 @@ def make_job_handlers(
             return manager.cancel(job_id, tenant=tenant).snapshot()
         except ServiceError:
             # Cross-worker cancel: leave a marker the owning worker
-            # polls between engine chunks.
+            # polls between engine jobs.
             snapshot = manager.request_remote_cancel(job_id, tenant=tenant)
             if snapshot is None:
                 raise

@@ -7,7 +7,7 @@ pool of worker threads: ``POST /jobs`` validates the body exactly as
 the sync endpoint would, enqueues a :class:`Job`, and returns ``202``
 with a job id immediately; ``GET /jobs/<id>`` reports status and
 progress; ``DELETE /jobs/<id>`` cancels cooperatively between engine
-chunks.  Finished jobs carry the full result payload — the same JSON
+jobs.  Finished jobs carry the full result payload — the same JSON
 the sync endpoint would have returned, response cache included — and
 expire after a TTL so a long-lived daemon's job table stays bounded.
 
@@ -15,11 +15,11 @@ Lifecycle::
 
     queued ──▶ running ──▶ done
        │          │   └──▶ failed      (typed error payload)
-       └──────────┴──────▶ cancelled   (cooperative, between chunks)
+       └──────────┴──────▶ cancelled   (cooperative, between jobs)
 
 Progress is threaded through the engine's per-thread hooks
 (:meth:`repro.engine.EvaluationEngine.hooks`): each engine batch
-announces its job count, and completions arrive chunk by chunk, so
+announces its job count, and completions arrive job by job, so
 ``progress.completed / progress.total`` is monotone within a job.
 """
 
@@ -88,7 +88,7 @@ class Job:
         self.tenant = tenant
         self.status = "queued"
         self.lock = threading.Lock()
-        #: Cooperative cancellation flag, polled between engine chunks.
+        #: Cooperative cancellation flag, polled between engine jobs.
         self.cancel = threading.Event()
         self.created_at = time.time()
         self.started_at: Optional[float] = None
@@ -126,7 +126,7 @@ class Job:
             self.on_update()
 
     def should_cancel(self) -> bool:
-        """Cancellation predicate polled between engine chunks.
+        """Cancellation predicate polled between engine jobs.
 
         True once the in-process event is set *or* a sibling worker
         left a cancel marker in the shared job store; the marker folds
@@ -213,11 +213,11 @@ class JobManager:
         Monotonic clock, injectable for TTL tests.
     shared_dir:
         Optional directory of the cross-process job store.  Every
-        lifecycle transition (and each progress chunk) of a local job
+        lifecycle transition (and each progress update) of a local job
         is mirrored there as an atomic JSON snapshot, so a *sibling*
         pre-fork worker polled for an id it does not own can answer
         from disk (:meth:`remote_snapshot`) and request cancellation
-        via a marker file the owner polls between engine chunks
+        via a marker file the owner polls between engine jobs
         (:meth:`request_remote_cancel`).  Job ids are unique across
         workers (the instance tag folds in process identity).
     """
@@ -361,7 +361,7 @@ class JobManager:
     def cancel(self, job_id: str, tenant: Optional[str] = None) -> Job:
         """Request cancellation; queued jobs cancel immediately.
 
-        Running jobs abort cooperatively at the next engine chunk
+        Running jobs abort cooperatively at the next engine job
         boundary; terminal jobs are left untouched (the returned
         snapshot shows their final state).  ``tenant`` scopes the
         lookup exactly as in :meth:`get`.
@@ -502,7 +502,7 @@ class JobManager:
         """Ask a sibling worker to cancel a job it owns.
 
         Leaves a marker file the owner's :meth:`Job.should_cancel`
-        polls between engine chunks — the cross-process twin of setting
+        polls between engine jobs — the cross-process twin of setting
         the cancel event.  Returns the job's snapshot (with
         ``cancel_requested`` already true for non-terminal jobs), or
         ``None`` when the shared store does not know the id.
@@ -610,7 +610,7 @@ class JobManager:
         for job in tracked:
             # Cancel queued jobs only, re-checked under the job lock: a
             # job that just went running keeps its grace period (the
-            # join below) instead of being aborted at its next chunk.
+            # join below) instead of being aborted at its next job.
             finished = False
             with job.lock:
                 if job.status == "queued":

@@ -880,9 +880,9 @@ class DeadlineMiddleware(Middleware):
     ``request.context`` (where :func:`check_deadline` and the fault
     points read it) and — when built with an engine — installs a
     ``should_cancel`` hook for the calling thread, so a sweep that is
-    mid-evaluation stops between chunks instead of finishing minutes
+    mid-evaluation stops between jobs instead of finishing minutes
     after the client gave up.  Both paths surface as one typed
-    ``504 deadline-exceeded``; completed chunks stay cached, so a
+    ``504 deadline-exceeded``; completed jobs stay cached, so a
     retry with a saner budget resumes rather than restarts.
 
     Deadlines bound *synchronous* work: an async submit returns its
@@ -937,8 +937,8 @@ class DeadlineMiddleware(Middleware):
                 self.expired += 1
             raise ServiceError(
                 504, "deadline-exceeded",
-                "evaluation stopped between chunks: the request's "
-                "deadline elapsed mid-sweep (completed chunks stay "
+                "evaluation stopped between jobs: the request's "
+                "deadline elapsed mid-sweep (completed jobs stay "
                 "cached)",
                 details={"deadline_ms": budget_ms},
             )

@@ -53,19 +53,20 @@ class TestBackendParity:
         )
         _assert_bit_identical(serial_sweep, process_sweep)
 
-    def test_trace_level_parallelism_bit_identical(self, fleet):
-        # A single job cannot be split at the job level, so the pool
-        # backend fans out per-trace through the LPPM mapper hook.
+    def test_lone_job_is_a_one_task_batch(self, fleet):
         system = geo_ind_system()
         job = EvalJob.make({"epsilon": 0.01}, seed=3)
         serial = SerialBackend().run(system, fleet, [job])
-        parallel = ProcessPoolBackend(max_workers=2).run(system, fleet, [job])
-        assert serial == parallel
+        backend = ProcessPoolBackend(max_workers=2)
+        try:
+            assert backend.run(system, fleet, [job]) == serial
+            assert backend.pools_built == 1
+        finally:
+            backend.close()
 
     def test_legacy_protect_override_still_works_serially(self, fleet):
-        # Mechanisms overriding protect() with the pre-engine
-        # (dataset, seed) signature must keep working on the serial
-        # path, where no mapper is passed.
+        # Mechanisms overriding protect() with the (dataset, seed)
+        # signature keep working: the engine passes nothing else.
         from dataclasses import replace
 
         from repro import GeoIndistinguishability
@@ -82,14 +83,6 @@ class TestBackendParity:
             geo_ind_system(), fleet, [EvalJob.make({"epsilon": 0.01}, seed=0)]
         )
         assert [result] == reference
-
-    def test_mapper_hook_preserves_protection(self, fleet):
-        lppm = geo_ind_system().make_lppm(epsilon=0.01)
-        plain = lppm.protect(fleet, seed=5)
-        mapped = lppm.protect(fleet, seed=5, mapper=map)
-        for user in plain.users:
-            assert (plain[user].lats == mapped[user].lats).all()
-            assert (plain[user].lons == mapped[user].lons).all()
 
 
 class TestCaching:
@@ -171,26 +164,35 @@ class TestEngineLifecycle:
         assert ref() is None  # the engine held no strong reference
 
     def test_process_pool_persists_across_batches(self, fleet):
-        from repro.engine import ProcessPoolBackend
-
-        backend = ProcessPoolBackend(max_workers=2)
+        # One pool for the backend's life: batches over datasets A, B,
+        # A run on the same pool and the same worker processes, and
+        # every result matches the serial reference bit for bit.
+        other = generate_taxi_fleet(
+            TaxiFleetConfig(n_cabs=3, shift_hours=1.0, seed=8)
+        )
         system = geo_ind_system()
         jobs = [
-            EvalJob.make({"epsilon": 0.01}, seed=s) for s in (0, 1)
+            EvalJob.make({"epsilon": eps}, seed=s)
+            for eps in (0.005, 0.02) for s in (0, 1)
         ]
-        backend.run(system, fleet, jobs)
-        pool = backend._job_pool
-        assert pool is not None
-        backend.run(system, fleet, jobs)
-        assert backend._job_pool is pool  # same (system, dataset): reused
-        # An equal-but-not-identical system with a content key also
-        # reuses the warm pool.
-        backend.run(geo_ind_system(), fleet, jobs, key=("sig", "ds"))
-        rekeyed = backend._job_pool
-        backend.run(geo_ind_system(), fleet, jobs, key=("sig", "ds"))
-        assert backend._job_pool is rekeyed
-        backend.close()
-        assert backend._job_pool is None
+        backend = ProcessPoolBackend(max_workers=2)
+        try:
+            seen = []
+            for dataset in (fleet, other, fleet):
+                parallel = backend.run(system, dataset, jobs)
+                assert parallel == SerialBackend().run(system, dataset, jobs)
+                seen.append((backend._pool, set(backend._pool._processes)))
+            (pool, pids), *rest = seen
+            assert len(pids) == 2
+            assert all(p is pool and q == pids for p, q in rest)
+            # An equal-but-not-identical system ships as new work to
+            # the same pool.
+            backend.run(geo_ind_system(), other, jobs)
+            assert backend._pool is pool
+            assert backend.pools_built == 1
+        finally:
+            backend.close()
+        assert backend._pool is None
 
     def test_engine_context_manager_closes(self, fleet):
         with EvaluationEngine(engine="process", jobs=2) as engine:
@@ -198,7 +200,7 @@ class TestEngineLifecycle:
                 geo_ind_system(), fleet, n_replications=2, engine=engine
             )
             runner.sweep(n_points=3)
-        assert engine._process is None or engine._process._job_pool is None
+        assert engine._process is None or engine._process._pool is None
 
 
 class TestEngineValidation:

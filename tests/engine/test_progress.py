@@ -3,10 +3,10 @@
 The async job subsystem of the service relies on three engine
 behaviours added alongside it:
 
-* per-thread **hooks** report a batch's size and chunk-by-chunk
+* per-thread **hooks** report a batch's size and job-by-job
   completions, monotonically;
-* **cancellation** raises :class:`EvaluationCancelled` between chunks,
-  leaving already-computed chunks in the cache (resume, not restart);
+* **cancellation** raises :class:`EvaluationCancelled` between jobs,
+  leaving already-computed results in the cache (resume, not restart);
 * per-thread :meth:`EvaluationEngine.measure` counters attribute real
   executions to the thread that triggered them, even with concurrent
   callers on one shared engine.

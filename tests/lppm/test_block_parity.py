@@ -1,8 +1,7 @@
 """Columnar protect parity: block path vs the seed per-trace path.
 
-``LPPM.protect`` without a mapper routes through ``protect_block`` —
-for the vectorised mechanisms, batched math over a whole dataset's
-concatenated records.  The promise is **bit-identity**: same users,
+``LPPM.protect`` routes through ``protect_block`` — for the vectorised
+mechanisms, batched math over a whole dataset's concatenated records.  The promise is **bit-identity**: same users,
 same floats, record for record, as the seed implementation that
 protected one trace at a time.  This suite proves it against verbatim
 copies of the seed per-trace implementations (``reference.py``), on a
@@ -130,16 +129,6 @@ class TestBlockParity:
         block_out = lppm.protect(dataset, seed=SEED)
         ref_out = _reference_protect(lppm, dataset, seed=SEED)
         _assert_datasets_identical(block_out, ref_out)
-
-    @pytest.mark.parametrize("mech_name", sorted(MECHANISMS))
-    def test_mapper_path_equals_block_path(self, mech_name):
-        # The engine's trace-level fan-out uses the mapper hook; it must
-        # agree with the block path float for float.
-        dataset = _adversarial_dataset()
-        lppm = MECHANISMS[mech_name](dataset)
-        block_out = lppm.protect(dataset, seed=SEED)
-        mapped_out = lppm.protect(dataset, seed=SEED, mapper=map)
-        _assert_datasets_identical(block_out, mapped_out)
 
     def test_subsampling_edge_keeps_exactly_record_zero(self):
         dataset = _plain_dataset()
