@@ -53,6 +53,19 @@ class TestBackendParity:
         )
         _assert_bit_identical(serial_sweep, process_sweep)
 
+    def test_trace_level_parallelism_bit_identical(self, fleet):
+        # A single job cannot be split at the job level; the pool backend
+        # runs it whole in one worker, and the result matches serial.
+        system = geo_ind_system()
+        job = EvalJob.make({"epsilon": 0.01}, seed=3)
+        serial = SerialBackend().run(system, fleet, [job])
+        backend = ProcessPoolBackend(max_workers=2)
+        try:
+            parallel = backend.run(system, fleet, [job])
+        finally:
+            backend.close()
+        assert serial == parallel
+
     def test_lone_job_is_a_one_task_batch(self, fleet):
         system = geo_ind_system()
         job = EvalJob.make({"epsilon": 0.01}, seed=3)
@@ -83,6 +96,19 @@ class TestBackendParity:
             geo_ind_system(), fleet, [EvalJob.make({"epsilon": 0.01}, seed=0)]
         )
         assert [result] == reference
+
+    def test_mapper_hook_preserves_protection(self, fleet):
+        # Each trace's generator depends only on (seed, user id), so
+        # protecting users one at a time — as any backend may place
+        # them — reproduces the whole-dataset protection exactly.
+        from repro.mobility import Dataset
+
+        lppm = geo_ind_system().make_lppm(epsilon=0.01)
+        plain = lppm.protect(fleet, seed=5)
+        for trace in reversed(fleet.traces):
+            [mapped] = lppm.protect(Dataset.from_traces([trace]), seed=5).traces
+            assert (plain[trace.user].lats == mapped.lats).all()
+            assert (plain[trace.user].lons == mapped.lons).all()
 
 
 class TestCaching:

@@ -1,14 +1,16 @@
 """Columnar protect parity: block path vs the seed per-trace path.
 
 ``LPPM.protect`` routes through ``protect_block`` — for the vectorised
-mechanisms, batched math over a whole dataset's concatenated records.  The promise is **bit-identity**: same users,
-same floats, record for record, as the seed implementation that
-protected one trace at a time.  This suite proves it against verbatim
+mechanisms, batched math over a whole dataset's concatenated records.
+The promise is **bit-identity**: same users, same floats, record for
+record, as the seed implementation that protected one trace at a time.  This suite proves it against verbatim
 copies of the seed per-trace implementations (``reference.py``), on a
 plain synthetic dataset and on adversarial shapes (empty trace, single
 point, duplicate timestamps, an antimeridian straddle, a subsample
 that keeps only record 0), and across the engine's execution paths.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from repro import (
 from repro.engine import EvalJob, ProcessPoolBackend, SerialBackend
 from repro.geo import LatLon
 from repro.lppm import Pipeline, available_lppms
+from repro.lppm.base import _protect_single_trace
 from repro.lppm.elastic import DensityMap
 from repro import TaxiFleetConfig
 from repro.mobility import Dataset, Trace
@@ -114,6 +117,19 @@ def _assert_datasets_identical(a: Dataset, b: Dataset) -> None:
         assert np.array_equal(ta.lons, tb.lons), user
 
 
+def _map_protect(lppm, dataset: Dataset, seed: int) -> Dataset:
+    """Protect trace by trace, last trace first, via the per-trace path."""
+    if isinstance(lppm, ElasticGeoIndistinguishability) and lppm.density is None:
+        # ``protect`` fixes the dataset-wide prior before any trace.
+        lppm = ElasticGeoIndistinguishability(
+            lppm.epsilon, lppm.exponent, lppm.max_scale, lppm.cell_size_m,
+            DensityMap.from_dataset(dataset, lppm.cell_size_m),
+        )
+    fn = functools.partial(_protect_single_trace, lppm, seed)
+    mapped = list(map(fn, reversed(dataset.traces)))
+    return Dataset.from_traces(mapped[::-1])
+
+
 class TestBlockParity:
     def test_every_registered_mechanism_is_covered(self):
         built = {
@@ -129,6 +145,16 @@ class TestBlockParity:
         block_out = lppm.protect(dataset, seed=SEED)
         ref_out = _reference_protect(lppm, dataset, seed=SEED)
         _assert_datasets_identical(block_out, ref_out)
+
+    @pytest.mark.parametrize("mech_name", sorted(MECHANISMS))
+    def test_mapper_path_equals_block_path(self, mech_name):
+        # Mapping the per-trace function over the traces, in any order,
+        # agrees with the block path float for float.
+        dataset = _adversarial_dataset()
+        lppm = MECHANISMS[mech_name](dataset)
+        block_out = lppm.protect(dataset, seed=SEED)
+        mapped_out = _map_protect(lppm, dataset, seed=SEED)
+        _assert_datasets_identical(block_out, mapped_out)
 
     def test_subsampling_edge_keeps_exactly_record_zero(self):
         dataset = _plain_dataset()
