@@ -29,9 +29,10 @@ from __future__ import annotations
 import hashlib
 import threading
 import weakref
-from collections import OrderedDict
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Tuple
+
+from ..lru import BoundedLRU
 
 if TYPE_CHECKING:
     from ..mobility import Dataset, Trace
@@ -128,16 +129,13 @@ class AnalysisCache:
         max_entries: int = DEFAULT_MAX_ENTRIES,
         spill_dir=None,
     ) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be at least 1")
-        self.max_entries = int(max_entries)
         self._lock = threading.Lock()
         #: key -> artifact, in LRU order (least recently used first).
-        self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
+        self._entries = BoundedLRU(max_entries)
         # trace instance -> content key: protected traces churn, so
         # the memo must not pin them, and a prune bound well above the
         # artifact bound keeps seeded datasets' keys resident.
-        self._trace_keys = WeakIdentityMemo(prune_at=4 * self.max_entries)
+        self._trace_keys = WeakIdentityMemo(prune_at=4 * int(max_entries))
         # Datasets already seeded, so a per-batch :meth:`seed_dataset`
         # costs O(1) after the first call.
         self._seeded = WeakIdentityMemo()
@@ -153,6 +151,11 @@ class AnalysisCache:
         self._spill = None
         if spill_dir is not None:
             self.attach_spill(spill_dir)
+
+    @property
+    def max_entries(self) -> int:
+        """The LRU bound (raised by :meth:`seed_dataset` as needed)."""
+        return self._entries.max_entries
 
     def attach_spill(self, spill_dir) -> None:
         """Attach (or replace/detach with ``None``) the spill tier.
@@ -219,7 +222,9 @@ class AnalysisCache:
             self._seeded.put(dataset, fingerprint)
             for user, trace in items:
                 self._trace_keys.put(trace, f"d:{fingerprint}:{user}")
-            self.max_entries = max(self.max_entries, 8 * len(items))
+            self._entries.max_entries = max(
+                self._entries.max_entries, 8 * len(items)
+            )
 
     # ------------------------------------------------------------------
     # Artifact storage
@@ -239,10 +244,9 @@ class AnalysisCache:
         """
         with self._lock:
             if key in self._entries:
-                self._entries.move_to_end(key)
                 self.hits += 1
                 self._kind_counter(kind)[0] += 1
-                return self._entries[key]
+                return self._entries.touch(key)
             spill = self._spill
         spillable = spill is not None and spill.handles(key, kind)
         if spillable:
@@ -254,34 +258,22 @@ class AnalysisCache:
                     self.hits += 1
                     self.spill_hits += 1
                     self._kind_counter(kind)[0] += 1
-                    existing = self._entries.get(key)
-                    if existing is not None:
-                        self._entries.move_to_end(key)
-                        return existing
-                    self._entries[key] = spilled
-                    while len(self._entries) > self.max_entries:
-                        self._entries.popitem(last=False)
-                        self.evictions += 1
-                return spilled
+                    return self._insert_locked(key, spilled)
         with self._lock:
             self.misses += 1
             self._kind_counter(kind)[1] += 1
-        value = compute()
-        inserted = True
+        computed = compute()
         with self._lock:
-            existing = self._entries.get(key)
-            if existing is not None:
-                # A concurrent computation won the race; keep its
-                # object so downstream identity stays shared.
-                self._entries.move_to_end(key)
-                value, inserted = existing, False
-            else:
-                self._entries[key] = value
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-                    self.evictions += 1
-        if inserted and spillable:
+            # A concurrent computation may have won the race; keep its
+            # object so downstream identity stays shared.
+            value = self._insert_locked(key, computed)
+        if value is computed and spillable:
             spill.store(key, kind, value)
+        return value
+
+    def _insert_locked(self, key: Tuple, value):
+        value, evicted = self._entries.add(key, value)
+        self.evictions += len(evicted)
         return value
 
     def _kind_counter(self, kind: str) -> list:

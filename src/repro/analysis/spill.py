@@ -36,13 +36,11 @@ from __future__ import annotations
 
 import hashlib
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 __all__ = ["AnalysisSpill", "SPILLABLE_KINDS"]
 
 PathLike = Union[str, Path]
-
-_RECORD_KIND = "analysis_artifact"
 
 #: Artifact families with a lossless JSON codec.
 SPILLABLE_KINDS = ("stay_points", "pois", "visit_counts")
@@ -99,7 +97,12 @@ class AnalysisSpill:
     """
 
     def __init__(self, spill_dir: PathLike) -> None:
+        from ..framework.store import RecordStore
+
         self.spill_dir = Path(spill_dir)
+        self._records = RecordStore(
+            self.spill_dir, "analysis_artifact", "analysis_spill"
+        )
 
     @staticmethod
     def handles(key: Tuple, kind: str) -> bool:
@@ -111,45 +114,28 @@ class AnalysisSpill:
             and key[0].startswith("d:")
         )
 
-    def _path_of(self, key: Tuple) -> Path:
-        digest = hashlib.sha256("\x00".join(key).encode("utf-8")).hexdigest()
-        return self.spill_dir / digest[:2] / f"{digest}.json"
+    @staticmethod
+    def _name_of(key: Tuple) -> str:
+        return hashlib.sha256("\x00".join(key).encode("utf-8")).hexdigest()
 
     def load(self, key: Tuple, kind: str):
         """The spilled artifact, or ``None`` on any kind of miss."""
-        from ..framework.store import quarantine_file, read_json_payload
 
-        path = self._path_of(key)
-        payload = read_json_payload(path, _RECORD_KIND)
-        if payload is None:
-            return None
-        if payload.get("artifact_kind") != kind or \
-                payload.get("key") != list(key):
-            # Wrong record under this digest (hand-edited file, codec
-            # drift): a permanent error becomes a plain recompute.
-            quarantine_file(path)
-            return None
-        try:
+        def decode(payload: dict):
+            if payload["artifact_kind"] != kind or payload["key"] != list(key):
+                # Wrong record under this digest (hand-edited file,
+                # codec drift): a permanent error becomes a recompute.
+                raise ValueError("spill record does not match its key")
             return _decode(kind, payload["items"])
-        except (KeyError, ValueError, TypeError):
-            quarantine_file(path)
-            return None
+
+        return self._records.read(self._name_of(key), decode)
 
     def store(self, key: Tuple, kind: str, value) -> None:
         """Persist one artifact; IO errors become recorded misses on
         the ``analysis_spill`` circuit breaker (the spill is an
         accelerator, never a correctness dependency)."""
-        from ..framework.store import write_json_atomic
-        from ..resilience.breaker import write_guarded
-
-        payload = {
-            "format_version": 1,
-            "kind": _RECORD_KIND,
+        self._records.write(self._name_of(key), {
             "artifact_kind": kind,
             "key": list(key),
             "items": _encode(kind, value),
-        }
-        write_guarded(
-            "analysis_spill",
-            lambda: write_json_atomic(payload, self._path_of(key)),
-        )
+        })

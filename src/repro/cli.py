@@ -211,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="N",
                      help="pre-fork worker processes (default: 1); N > 1 "
                           "binds the port once, forks N full service "
-                          "workers sharing the result cache, response "
-                          "spill tier and job store under --cache-dir "
+                          "workers sharing the result cache and job "
+                          "store under --cache-dir "
                           "(a temporary directory when unset), and "
                           "restarts any worker that crashes")
     srv.add_argument("--job-ttl", type=float, default=600.0, metavar="S",
@@ -577,7 +577,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 2
 
     # Multi-process mode needs shared on-disk state (result cache,
-    # response spill tier, cross-process job store).  --cache-dir
+    # cross-process job store).  --cache-dir
     # doubles as that root; without it a temporary directory keeps the
     # fleet coherent for this run and is removed on exit.
     cache_dir = args.cache_dir

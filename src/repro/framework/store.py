@@ -1,10 +1,16 @@
-"""Persistence of sweeps and fitted models.
+"""Persistence of sweeps, fitted models and every disk cache tier.
 
 The offline phase (sweep + fit) is the framework's only real cost;
 a deployment runs it once and then answers configuration queries
 forever.  This module serialises both artefacts to JSON so the online
 phase can run in a separate process, machine or release — no pickle,
 no code execution on load.
+
+It is also the one home of disk-record IO: every cache tier (engine
+results, analysis spill, job store, scenario store, stream flushes)
+reads and writes through a :class:`RecordStore`, so the sharded path,
+the atomic write, the quarantine of bad records and the circuit
+breaker are wired once.
 """
 
 from __future__ import annotations
@@ -15,14 +21,16 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Callable, Optional, Union
 
+from ..resilience.breaker import write_guarded
 from ..resilience.faults import fire as _fire_fault
 from .models import LogLinearMetricModel, SystemModel
 from .runner import SweepPoint, SweepResult
 from .saturation import ActiveRegion
 
 __all__ = [
+    "RecordStore",
     "save_sweep",
     "load_sweep",
     "save_model",
@@ -122,6 +130,69 @@ def read_json_payload(
     except (ValueError, OSError, KeyError):
         quarantine_file(path)
         return None
+
+
+class RecordStore:
+    """One disk tier: versioned JSON records named by a string key.
+
+    ``kind`` tags every record (a file of another kind reads as a
+    corrupt miss); ``tier`` names the circuit breaker that guards the
+    writes.  ``sharded`` stores ``<name[:2]>/<name>.json`` — for
+    content-addressed tiers whose names are hex digests — instead of a
+    flat ``<name>.json``.
+
+    Thread- and process-safe without a lock: writes are atomic renames
+    and reads tolerate (and quarantine) anything torn, so owners call
+    it outside their own locks.
+    """
+
+    def __init__(
+        self, directory: PathLike, kind: str, tier: str, sharded: bool = True
+    ) -> None:
+        self.directory = Path(directory)
+        self.kind = kind
+        self.tier = tier
+        self.sharded = sharded
+
+    def path(self, name: str) -> Path:
+        """Where the record ``name`` lives."""
+        if self.sharded:
+            return self.directory / name[:2] / f"{name}.json"
+        return self.directory / f"{name}.json"
+
+    def read(self, name: str, decode: Optional[Callable[[dict], Any]] = None):
+        """The record (``decode``-d when given), or ``None`` on a miss.
+
+        Missing, torn and wrong-kind files are misses, the latter two
+        quarantined by :func:`read_json_payload`.  A ``decode`` raising
+        ``KeyError``, ``TypeError`` or ``ValueError`` marks a record
+        that parses but means nothing usable: it is quarantined too,
+        so it stops being re-read on every lookup.
+        """
+        path = self.path(name)
+        payload = read_json_payload(path, self.kind)
+        if payload is None or decode is None:
+            return payload
+        try:
+            return decode(payload)
+        except (KeyError, TypeError, ValueError):
+            quarantine_file(path)
+            return None
+
+    def write(self, name: str, fields: dict) -> bool:
+        """Persist ``fields`` (plus ``format_version`` and ``kind``) as
+        the record ``name``.
+
+        Best-effort through the tier's circuit breaker: ``False`` when
+        the write failed with an ``OSError`` or the breaker skipped it
+        — a full disk only costs warmth, never the request.
+        """
+        payload = {"format_version": _FORMAT_VERSION, "kind": self.kind,
+                   **fields}
+        path = self.path(name)
+        return write_guarded(
+            self.tier, lambda: write_json_atomic(payload, path)
+        )
 
 
 def save_sweep(sweep: SweepResult, path: PathLike) -> None:

@@ -1,9 +1,10 @@
 """Per-tier circuit breakers and the guarded best-effort writer.
 
 Every disk tier whose writes are an optimisation rather than an
-obligation — engine result records, analysis spill, response spill,
-the job store, the scenario registry, streaming flush shards — routes
-its writes through :func:`write_guarded`.  The contract:
+obligation — engine result records, analysis spill, the job store,
+the scenario registry, streaming flush shards — routes its writes
+through :func:`write_guarded` (by way of
+:class:`~repro.framework.store.RecordStore`).  The contract:
 
 * an ``OSError`` (disk full, permission lost, I/O error) becomes a
   recorded miss: the caller carries on, the tier's breaker counts it;

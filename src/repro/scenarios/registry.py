@@ -18,9 +18,9 @@ so daemon registrations never leak across instances or into tests.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Dict, List, Mapping, Optional
 
+from ..lru import BoundedLRU
 from ..mobility import Dataset
 from .spec import ScenarioSpec
 
@@ -73,13 +73,10 @@ class ScenarioRegistry:
     def __init__(
         self, include_builtins: bool = True, cache_size: int = 8
     ) -> None:
-        if cache_size < 1:
-            raise ValueError("cache_size must be at least 1")
-        self.cache_size = int(cache_size)
         self._lock = threading.Lock()
         self._specs: Dict[str, ScenarioSpec] = {}
         #: fingerprint -> resolved dataset, in LRU order (oldest first).
-        self._cache: "OrderedDict[str, Dataset]" = OrderedDict()
+        self._cache = BoundedLRU(cache_size)
         self.cache_hits = 0
         self.cache_misses = 0
         if include_builtins:
@@ -168,31 +165,23 @@ class ScenarioRegistry:
         if fingerprint is None:
             fingerprint = spec.fingerprint()
         with self._lock:
-            dataset = self._cache.get(fingerprint)
+            dataset = self._cache.touch(fingerprint)
             if dataset is not None:
-                self._cache.move_to_end(fingerprint)
                 self.cache_hits += 1
                 return dataset
             self.cache_misses += 1
         dataset = spec.resolve()
         with self._lock:
-            if fingerprint not in self._cache:
-                while len(self._cache) >= self.cache_size:
-                    self._cache.popitem(last=False)
-                self._cache[fingerprint] = dataset
-            else:
-                # A concurrent resolver won the race; keep its object so
-                # engine fingerprint memoisation stays shared.
-                dataset = self._cache[fingerprint]
-                self._cache.move_to_end(fingerprint)
-        return dataset
+            # A concurrent resolver may have won the race; keep its
+            # object so engine fingerprint memoisation stays shared.
+            return self._cache.add(fingerprint, dataset)[0]
 
     def cache_stats(self) -> dict:
         """JSON-ready counters of the resolved-dataset LRU."""
         with self._lock:
             return {
                 "entries": len(self._cache),
-                "capacity": self.cache_size,
+                "capacity": self._cache.max_entries,
                 "hits": self.cache_hits,
                 "misses": self.cache_misses,
             }

@@ -129,9 +129,10 @@ class ConfigService:
         Smallest serialised response body worth gzipping.
     shared_dir:
         Directory shared by sibling worker processes (pre-fork mode).
-        Enables the response-cache spill tier (``<dir>/responses``) and
-        the cross-process job store (``<dir>/jobs``), so one worker's
-        warm state and job snapshots are visible to the others.
+        Holds the cross-process job store (``<dir>/jobs``), scenario
+        store and stream flushes, and — when ``engine`` is ``None`` —
+        the engine's result cache, so one worker's evaluations and job
+        snapshots are visible to the others and survive restarts.
         ``None`` keeps everything in process memory.
     """
 
@@ -201,7 +202,6 @@ class ConfigService:
             should_cache=self._replayable,
             key_body=self._cache_key_body,
             on_hit=self._refresh_hit_body,
-            spill_dir=(shared / "responses") if shared is not None else None,
         )
         # A replace-registration changes what a scenario name means.
         # Fingerprint keying already isolates cache entries, but a
@@ -693,8 +693,8 @@ def serve(
     job manager over a fresh post-fork :class:`ConfigService`), and
     supervises them — crashed workers restart, SIGTERM fans out for a
     bounded-grace drain.  ``shared_dir`` (strongly recommended there)
-    gives siblings a common response-cache spill tier and job store so
-    the fleet behaves like one warm service.
+    gives siblings a common result cache and job store so the fleet
+    behaves like one warm service.
 
     SIGTERM and SIGINT both shut down cleanly: the socket closes, jobs
     drain with a ``grace_s``-bounded grace period (still-running jobs

@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from ..engine import EvaluationCancelled
+from ..framework.store import RecordStore
 from .middleware import ANONYMOUS_TENANT, Response, ServiceError, instance_tag
 
 __all__ = ["Job", "JobManager", "JOB_ENDPOINTS", "JOB_STATES"]
@@ -250,8 +251,12 @@ class JobManager:
         self.ttl_s = float(ttl_s)
         self._clock = clock
         self.shared_dir = Path(shared_dir) if shared_dir is not None else None
+        self._store = None
         if self.shared_dir is not None:
             self.shared_dir.mkdir(parents=True, exist_ok=True)
+            self._store = RecordStore(
+                self.shared_dir, "job_snapshot", "job_store", sharded=False
+            )
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue()
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
@@ -419,10 +424,6 @@ class JobManager:
     # ------------------------------------------------------------------
     # Shared job store (cross-process visibility)
     # ------------------------------------------------------------------
-    def _job_path(self, job_id: str) -> Path:
-        assert self.shared_dir is not None
-        return self.shared_dir / f"{job_id}.json"
-
     def _cancel_path(self, job_id: str) -> Path:
         assert self.shared_dir is not None
         return self.shared_dir / f"{job_id}.cancel"
@@ -434,28 +435,19 @@ class JobManager:
         failed mirror only degrades sibling workers to 404, it never
         fails the job itself.
         """
-        if self.shared_dir is None:
+        if self._store is None:
             return
-        from ..framework.store import write_json_atomic
-        from ..resilience.breaker import write_guarded
-
-        payload = {
-            "format_version": 1,
-            "kind": "job_snapshot",
-            "snapshot": job.snapshot(include_result=True),
-        }
         try:
-            write_guarded(
-                "job_store",
-                lambda: write_json_atomic(payload, self._job_path(job.id)),
+            self._store.write(
+                job.id, {"snapshot": job.snapshot(include_result=True)}
             )
         except (TypeError, ValueError):
             pass
 
     def _unlink_shared(self, job_id: str) -> None:
-        if self.shared_dir is None:
+        if self._store is None:
             return
-        for path in (self._job_path(job_id), self._cancel_path(job_id)):
+        for path in (self._store.path(job_id), self._cancel_path(job_id)):
             try:
                 path.unlink()
             except OSError:
@@ -467,22 +459,23 @@ class JobManager:
         """A *sibling worker's* job snapshot from the shared store.
 
         ``None`` means unknown there too (no store configured, no
-        record, a corrupt record — quarantined — or a record past its
-        TTL); with ``tenant`` given, another tenant's job is ``None``
-        exactly as :meth:`get` would 404 it.  Callers try :meth:`get`
-        first — the local table is authoritative for jobs this process
-        owns.
+        record, a corrupt record or one whose snapshot is not this
+        job's — both quarantined — or a record past its TTL); with
+        ``tenant`` given, another tenant's job is ``None`` exactly as
+        :meth:`get` would 404 it.  Callers try :meth:`get` first — the
+        local table is authoritative for jobs this process owns.
         """
-        if self.shared_dir is None:
+        if self._store is None:
             return None
-        from ..framework.store import read_json_payload
 
-        payload = read_json_payload(self._job_path(job_id), "job_snapshot")
-        if payload is None:
-            return None
-        snapshot = payload.get("snapshot")
-        if not isinstance(snapshot, dict) or \
-                snapshot.get("job_id") != job_id:
+        def decode(record: dict) -> dict:
+            snapshot = record["snapshot"]
+            if snapshot["job_id"] != job_id:
+                raise ValueError("job record names another job")
+            return snapshot
+
+        snapshot = self._store.read(job_id, decode)
+        if snapshot is None:
             return None
         if tenant is not None and snapshot.get("tenant") != tenant:
             return None

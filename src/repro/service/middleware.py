@@ -54,10 +54,10 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..engine import EvaluationCancelled
+from ..lru import BoundedLRU
 
 __all__ = [
     "Request",
@@ -1187,12 +1187,11 @@ class ResponseCacheMiddleware(Middleware):
     app uses it to zero per-request cost counters, which would
     otherwise replay the original request's cost.
 
-    ``spill_dir`` (optional) adds a persistent disk tier shared across
-    processes: stored responses are written through as atomic JSON
-    records keyed by the same content key, and a memory miss probes the
-    disk before calling inward — which is how one pre-fork worker's
-    sweep becomes every sibling worker's (and every restart's) cache
-    hit.  Torn or corrupt records read as misses and are quarantined.
+    ``max_entries`` bounds the whole cache, across every cacheable
+    endpoint; the least recently *used* response is evicted first.
+    The cache is per process: a sibling pre-fork worker or a restarted
+    daemon answers its first repeat through the engine's result disk
+    tier (zero executions) and caches the response from then on.
     """
 
     name = "response_cache"
@@ -1204,62 +1203,15 @@ class ResponseCacheMiddleware(Middleware):
         should_cache: Optional[Callable[[Request], bool]] = None,
         key_body: Optional[Callable[[Request], Optional[dict]]] = None,
         on_hit: Optional[Callable[[dict], dict]] = None,
-        spill_dir=None,
     ) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be at least 1")
         self.cacheable = frozenset(cacheable)
-        self.max_entries = int(max_entries)
         self.should_cache = should_cache
         self.key_body = key_body
         self.on_hit = on_hit
-        self.spill_dir = Path(spill_dir) if spill_dir is not None else None
         self._lock = threading.Lock()
-        self._entries: Dict[str, Response] = {}
+        self._entries = BoundedLRU(max_entries)
         self.hits = 0
         self.misses = 0
-        self.spill_hits = 0
-
-    def _spill_path(self, key: str) -> "Path":
-        assert self.spill_dir is not None
-        return self.spill_dir / key[:2] / f"{key}.json"
-
-    def _read_spill(self, key: str) -> Optional[Response]:
-        """The spilled response under ``key``, or ``None`` on a miss."""
-        # Imported lazily: the service layer sits above the framework,
-        # whose store module owns the atomic/quarantining record IO.
-        from ..framework.store import read_json_payload
-
-        payload = read_json_payload(self._spill_path(key), "response")
-        if payload is None:
-            return None
-        status, body = payload.get("status"), payload.get("body")
-        headers = payload.get("headers")
-        if not isinstance(status, int) or not isinstance(body, dict) \
-                or not isinstance(headers, dict):
-            return None
-        return Response(status=status, body=body, headers=headers)
-
-    def _write_spill(self, key: str, response: Response) -> None:
-        """Persist one stored response; IO failures only cost warmth
-        (and count against the ``response_spill`` circuit breaker)."""
-        from ..framework.store import write_json_atomic
-        from ..resilience.breaker import write_guarded
-
-        payload = {
-            "format_version": 1,
-            "kind": "response",
-            "status": response.status,
-            "body": response.body,
-            "headers": dict(response.headers),
-        }
-        try:
-            write_guarded(
-                "response_spill",
-                lambda: write_json_atomic(payload, self._spill_path(key)),
-            )
-        except (TypeError, ValueError):
-            pass
 
     def handle(self, request: Request, call_next: Handler) -> Response:
         if request.endpoint not in self.cacheable or (
@@ -1279,22 +1231,10 @@ class ResponseCacheMiddleware(Middleware):
             tenant=str(tenant) if tenant is not None else None,
         )
         with self._lock:
-            hit = self._entries.get(key)
-        from_spill = False
-        if hit is None and self.spill_dir is not None:
-            # Disk probe outside the lock (pure IO); a hit is promoted
-            # into the memory tier so repeats stay a dict lookup.
-            hit = self._read_spill(key)
-            from_spill = hit is not None
-        if hit is not None:
-            with self._lock:
+            hit = self._entries.touch(key)
+            if hit is not None:
                 self.hits += 1
-                if from_spill:
-                    self.spill_hits += 1
-                    if key not in self._entries:
-                        if len(self._entries) >= self.max_entries:
-                            self._entries.pop(next(iter(self._entries)))
-                        self._entries[key] = hit
+        if hit is not None:
             request.context["response_cache_hit"] = True
             # Fresh copies, body included: in-process callers receive
             # the response dict itself, and must not be able to mutate
@@ -1308,26 +1248,14 @@ class ResponseCacheMiddleware(Middleware):
                 headers=dict(hit.headers, **{"X-Response-Cache": "hit"}),
             )
         response = call_next(request)
-        stored: Optional[Response] = None
         with self._lock:
             self.misses += 1
             if response.ok:
-                if len(self._entries) >= self.max_entries:
-                    # Drop the oldest entry (dicts preserve insertion
-                    # order) — a plain bound, not an LRU, is enough for
-                    # a cache of whole sweep responses.
-                    self._entries.pop(next(iter(self._entries)))
-                stored = Response(
+                self._entries.add(key, Response(
                     status=response.status,
                     body=copy.deepcopy(response.body),
                     headers=dict(response.headers),
-                )
-                self._entries[key] = stored
-        if stored is not None and self.spill_dir is not None:
-            # Written through after releasing the lock: concurrent
-            # requests never queue behind a JSON dump, and a torn file
-            # from a crash mid-write reads back as a quarantined miss.
-            self._write_spill(key, stored)
+                ))
         response.headers.setdefault("X-Response-Cache", "miss")
         return response
 
@@ -1337,18 +1265,8 @@ class ResponseCacheMiddleware(Middleware):
                 "entries": len(self._entries),
                 "hits": self.hits,
                 "misses": self.misses,
-                "spill_hits": self.spill_hits,
-                "spill": self.spill_dir is not None,
             }
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-        if self.spill_dir is not None and self.spill_dir.exists():
-            # Invalidation must reach the shared tier too, or a cleared
-            # entry would resurrect from disk on the next miss.
-            for path in self.spill_dir.glob("*/*.json"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass

@@ -40,14 +40,14 @@ import hashlib
 import os
 import threading
 import time
-from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
 from ..engine import EvaluationEngine
 from ..framework import Configurator, geo_ind_system
 from ..framework.spec import SystemDefinition
-from ..framework.store import read_json_payload, write_json_atomic
+from ..framework.store import RecordStore
+from ..lru import BoundedLRU
 from ..mobility import Dataset, Trace, read_csv
 from ..scenarios import ScenarioRegistry, ScenarioSpec
 from ..streaming import SessionManager
@@ -266,15 +266,26 @@ def resolve_dataset_spec(
         raise ServiceError(400, "invalid-dataset", str(exc))
 
 
+def _scenario_list(record: dict) -> list:
+    """A scenario-store record's registrations (decoder: a record
+    whose ``scenarios`` is not a list is corrupt)."""
+    scenarios = record["scenarios"]
+    if not isinstance(scenarios, list):
+        raise ValueError("scenario record without a scenarios list")
+    return scenarios
+
+
 class ServiceState:
     """Everything one service instance shares across requests.
 
     Parameters
     ----------
     engine:
-        The shared evaluation engine; ``None`` builds a serial one.
-        Pass ``EvaluationEngine(engine="process", cache_dir=...)`` for
-        the production shape: parallel batches over a durable cache.
+        The shared evaluation engine; ``None`` builds a serial one
+        whose result cache lives under ``shared_dir`` (when given), as
+        the CLI's does.  Pass ``EvaluationEngine(engine="process",
+        cache_dir=...)`` for the production shape: parallel batches
+        over a durable cache.
     system_factory:
         Builds the :class:`SystemDefinition` analysed by ``/sweep``,
         ``/configure`` and ``/recommend`` (default: the paper's GEO-I
@@ -297,16 +308,15 @@ class ServiceState:
         scenarios: Optional[ScenarioRegistry] = None,
         shared_dir=None,
     ) -> None:
-        if max_datasets < 1:
-            raise ValueError("max_datasets must be at least 1")
-        self.engine = engine if engine is not None else EvaluationEngine()
-        self.system = system_factory()
-        #: Root of the cross-process warm-state directory (response
-        #: spill + shared job store), ``None`` for a purely in-memory
-        #: single-process service.  Held here for introspection
-        #: (``/healthz`` reports it); the app wires the tiers.
+        #: Root of the cross-process warm-state directory (result
+        #: cache, job store, scenario store, stream flushes), ``None``
+        #: for a purely in-memory single-process service.
         self.shared_dir = Path(shared_dir) if shared_dir is not None else None
-        self.max_datasets = int(max_datasets)
+        self.engine = (
+            engine if engine is not None
+            else EvaluationEngine(cache_dir=self.shared_dir)
+        )
+        self.system = system_factory()
         self.scenarios = (
             scenarios if scenarios is not None else ScenarioRegistry()
         )
@@ -317,6 +327,11 @@ class ServiceState:
         # Scenario registrations persist under shared_dir so pre-fork
         # siblings (and restarts) see one tenant-namespaced registry
         # instead of per-process islands.
+        self._scenario_store = (
+            RecordStore(self.shared_dir / "scenarios", "scenario_registry",
+                        "scenarios", sharded=False)
+            if self.shared_dir is not None else None
+        )
         self._scenario_store_lock = threading.Lock()
         self._scenario_mtimes: Dict[str, int] = {}
         #: Live streaming protection sessions (``/stream/...``); window
@@ -335,7 +350,7 @@ class ServiceState:
         # job-status polls never queue behind a sweep.
         self._registry_lock = threading.Lock()
         #: key -> dataset in LRU order (least recently used first).
-        self._datasets: "OrderedDict[str, Dataset]" = OrderedDict()
+        self._datasets = BoundedLRU(max_datasets)
         self._configurators: Dict[Tuple[str, int, int, int], Configurator] = {}
         # One lock per in-flight fit key: concurrent requests for the
         # SAME (dataset, resolution) deduplicate into one fit; fits for
@@ -370,20 +385,19 @@ class ServiceState:
     # ------------------------------------------------------------------
     # Scenario persistence (pre-fork visibility)
     # ------------------------------------------------------------------
-    def _scenario_store_path(self, tenant: str) -> Optional[Path]:
-        """Where ``tenant``'s registrations persist, or ``None``.
+    @staticmethod
+    def _scenario_record_name(tenant: str) -> str:
+        """The scenario-store record of ``tenant``'s registrations.
 
-        The filename embeds a sanitised tenant name (readable) plus a
-        hash of the exact name (collision-free even for tenants that
+        The name embeds a sanitised tenant name (readable) plus a hash
+        of the exact name (collision-free even for tenants that
         sanitise identically).
         """
-        if self.shared_dir is None:
-            return None
         safe = "".join(
             c if c.isalnum() or c in "._-" else "_" for c in tenant
         ) or "tenant"
         digest = hashlib.sha256(tenant.encode("utf-8")).hexdigest()[:8]
-        return self.shared_dir / "scenarios" / f"{safe}-{digest}.json"
+        return f"{safe}-{digest}"
 
     def _sync_scenarios(
         self, tenant: str, registry: ScenarioRegistry
@@ -392,27 +406,23 @@ class ServiceState:
 
         Cheap on the hot path: one ``stat`` per lookup; the file is only
         re-read when its mtime moved (a sibling registered something).
-        Corrupt files are quarantined by the payload reader and read as
-        empty — a torn write never poisons the registry.
+        Torn files, and records whose ``scenarios`` is not a list, are
+        quarantined and read as empty — a bad write never poisons the
+        registry.
         """
-        path = self._scenario_store_path(tenant)
-        if path is None:
+        if self._scenario_store is None:
             return
+        name = self._scenario_record_name(tenant)
         try:
-            mtime_ns = os.stat(path).st_mtime_ns
+            mtime_ns = os.stat(self._scenario_store.path(name)).st_mtime_ns
         except OSError:
             return
         with self._scenario_store_lock:
             if self._scenario_mtimes.get(tenant) == mtime_ns:
                 return
-            payload = read_json_payload(path, "scenario_registry")
+            scenarios = self._scenario_store.read(name, _scenario_list)
             self._scenario_mtimes[tenant] = mtime_ns
-        if payload is None:
-            return
-        scenarios = payload.get("scenarios")
-        if not isinstance(scenarios, list):
-            return
-        for item in scenarios:
+        for item in scenarios or ():
             if not isinstance(item, dict):
                 continue
             try:
@@ -442,28 +452,20 @@ class ServiceState:
         tenant_key = tenant if tenant else ANONYMOUS_TENANT
         registry = self.scenarios_for(tenant_key)
         registry.register(spec, replace=replace)
-        path = self._scenario_store_path(tenant_key)
-        if path is not None:
+        if self._scenario_store is not None:
+            name = self._scenario_record_name(tenant_key)
             with self._scenario_store_lock:
-                payload = {
-                    "format_version": 1,
-                    "kind": "scenario_registry",
-                    "tenant": tenant_key,
-                    "scenarios": [s.to_jsonable() for s in registry.specs()],
-                }
                 # Persistence is best-effort through the ``scenarios``
                 # circuit breaker: the local registry is authoritative
                 # for this worker either way.
-                from ..resilience.breaker import write_guarded
-
-                if write_guarded(
-                    "scenarios",
-                    lambda: write_json_atomic(payload, path),
-                ):
+                if self._scenario_store.write(name, {
+                    "tenant": tenant_key,
+                    "scenarios": [s.to_jsonable() for s in registry.specs()],
+                }):
                     try:
-                        self._scenario_mtimes[tenant_key] = (
-                            os.stat(path).st_mtime_ns
-                        )
+                        self._scenario_mtimes[tenant_key] = os.stat(
+                            self._scenario_store.path(name)
+                        ).st_mtime_ns
                     except OSError:
                         pass
         return registry
@@ -568,32 +570,23 @@ class ServiceState:
 
         key = canonical_body_key("dataset", key_spec, tenant=tenant)[:16]
         with self._registry_lock:
-            dataset = self._datasets.get(key)
-            if dataset is not None:
-                self._datasets.move_to_end(key)
+            dataset = self._datasets.touch(key)
         if dataset is None:
             dataset = resolve()
             with self._registry_lock:
-                existing = self._datasets.get(key)
-                if existing is not None:
-                    # Another thread resolved the same spec first; keep
-                    # its object so fingerprint memoisation stays shared.
-                    dataset = existing
-                    self._datasets.move_to_end(key)
-                else:
-                    while len(self._datasets) >= self.max_datasets:
-                        evicted, _ = self._datasets.popitem(last=False)
-                        self._configurators = {
-                            k: v
-                            for k, v in self._configurators.items()
-                            if k[0] != evicted
-                        }
-                        self._fit_locks = {
-                            k: v
-                            for k, v in self._fit_locks.items()
-                            if k[0] != evicted
-                        }
-                    self._datasets[key] = dataset
+                # Another thread may have resolved the same spec first;
+                # keep its object so fingerprint memoisation stays shared.
+                dataset, evicted = self._datasets.add(key, dataset)
+                gone = {evicted_key for evicted_key, _ in evicted}
+                if gone:
+                    self._configurators = {
+                        k: v for k, v in self._configurators.items()
+                        if k[0] not in gone
+                    }
+                    self._fit_locks = {
+                        k: v for k, v in self._fit_locks.items()
+                        if k[0] not in gone
+                    }
         return key, dataset
 
     def configurator_for(

@@ -30,15 +30,15 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..analysis import AnalysisCache, pois_of, stay_points_of
-from ..framework.store import write_json_atomic
+from ..framework.store import RecordStore
 from ..geo import LatLon, SpatialGrid, cell_f1, haversine_m_arrays
 from ..lppm import LPPM
+from ..lru import BoundedLRU
 from ..mobility import Trace
 
 __all__ = ["ProtectionSession", "SessionManager"]
@@ -224,8 +224,7 @@ class SessionManager:
     update and on :meth:`stats`).  Every eviction — and every explicit
     close and the final :meth:`close` — flushes the session's window
     metrics first; with ``flush_dir`` set, flushed windows are also
-    persisted as atomic JSON records, the same write discipline as the
-    other spill tiers.
+    persisted as ``stream_flush`` records of the shared record store.
     """
 
     def __init__(
@@ -239,22 +238,22 @@ class SessionManager:
         cache: Optional[AnalysisCache] = None,
         clock=time.monotonic,
     ) -> None:
-        if max_sessions < 1:
-            raise ValueError("max_sessions must be at least 1")
         if idle_ttl_s <= 0:
             raise ValueError("idle TTL must be positive")
-        self.max_sessions = int(max_sessions)
         self.idle_ttl_s = float(idle_ttl_s)
         self.window_s = float(window_s)
         self.cell_size_m = float(cell_size_m)
         self.flush_dir = flush_dir
+        self._flushes = (
+            RecordStore(flush_dir, "stream_flush", "stream_flush",
+                        sharded=False)
+            if flush_dir is not None else None
+        )
         self._clock = clock
         self._cache = cache if cache is not None else AnalysisCache()
         self._lock = threading.Lock()
         #: (tenant, name) -> session, least recently updated first.
-        self._sessions: "OrderedDict[Tuple[str, str], ProtectionSession]" = (
-            OrderedDict()
-        )
+        self._sessions = BoundedLRU(max_sessions)
         self._last_update: Dict[Tuple[str, str], float] = {}
         self._flush_counter = 0
         self.sessions_opened = 0
@@ -289,6 +288,7 @@ class SessionManager:
             if self._closed:
                 raise RuntimeError("session manager is closed")
             session = self._sessions.get(key)
+            evicted = []
             if session is None:
                 if lppm is None:
                     raise ValueError(
@@ -304,13 +304,14 @@ class SessionManager:
                     cell_size_m=self.cell_size_m,
                     cache=self._cache,
                 )
-                self._sessions[key] = session
+                _, evicted = self._sessions.add(key, session)
+                for evicted_key, _ in evicted:
+                    self._last_update.pop(evicted_key, None)
                 self.sessions_opened += 1
             else:
                 self._check_config(session, lppm, user, seed, window_s)
-            self._sessions.move_to_end(key)
+                self._sessions.touch(key)
             self._last_update[key] = self._clock()
-            evicted = self._over_capacity_locked()
         # Flush evictees and protect outside the lock: neither needs it,
         # and window extraction can be slow.
         for evicted_key, evicted_session in evicted:
@@ -344,7 +345,8 @@ class SessionManager:
             )
 
     def get(self, tenant: str, name: str) -> ProtectionSession:
-        """The live session, refreshing its recency; KeyError if absent."""
+        """The live session, leaving its recency alone (only updates
+        count as use); KeyError if absent."""
         key = (str(tenant), str(name))
         with self._lock:
             session = self._sessions.get(key)
@@ -365,14 +367,6 @@ class SessionManager:
     # ------------------------------------------------------------------
     # Eviction and flushing
     # ------------------------------------------------------------------
-    def _over_capacity_locked(self):
-        evicted = []
-        while len(self._sessions) > self.max_sessions:
-            key, session = self._sessions.popitem(last=False)
-            self._last_update.pop(key, None)
-            evicted.append((key, session))
-        return evicted
-
     def evict_idle(self, now: Optional[float] = None) -> int:
         """Evict (and flush) sessions idle past the TTL; returns count."""
         now = self._clock() if now is None else now
@@ -400,30 +394,15 @@ class SessionManager:
                 self.evictions += 1
             self._flush_counter += 1
             counter = self._flush_counter
-        if self.flush_dir is not None:
-            from pathlib import Path
-
-            from ..resilience.breaker import write_guarded
-
+        if self._flushes is not None:
             tenant, name = key
-            payload = {
-                "format_version": 1,
-                "kind": "stream_flush",
-                "tenant": tenant,
-                "session": name,
-                "evicted": bool(evicted),
-                "metrics": final,
-            }
-            shard = (
-                Path(self.flush_dir)
-                / f"flush-{counter:06d}-{abs(hash(key)) % 10**8:08d}.json"
-            )
             # Best-effort through the ``stream_flush`` breaker: losing
             # a flush shard on a full disk must not fail the close or
             # eviction that triggered it.
-            write_guarded(
-                "stream_flush",
-                lambda: write_json_atomic(payload, shard),
+            self._flushes.write(
+                f"flush-{counter:06d}-{abs(hash(key)) % 10**8:08d}",
+                {"tenant": tenant, "session": name,
+                 "evicted": bool(evicted), "metrics": final},
             )
         return final
 

@@ -134,7 +134,7 @@ class TestSpillHygiene:
         computed = stay_points_of(trace, cache=warm)
         spill = AnalysisSpill(tmp_path)
         key = (warm.trace_key(trace), "stay_points", "200.0|900.0")
-        path = spill._path_of(key)
+        path = spill._records.path(spill._name_of(key))
         assert path.exists()
         path.write_text(path.read_text()[:20])  # torn write
 
@@ -150,7 +150,7 @@ class TestSpillHygiene:
     def test_wrong_key_under_digest_is_quarantined(self, tmp_path):
         spill = AnalysisSpill(tmp_path)
         key = ("d:fp:user", "stay_points", "200.0|900.0")
-        path = spill._path_of(key)
+        path = spill._records.path(spill._name_of(key))
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps({
             "format_version": 1, "kind": "analysis_artifact",

@@ -4,7 +4,16 @@ import json
 
 import pytest
 
-from repro import Dataset, ResultCache, Trace
+import repro.engine.cache as engine_cache
+from repro import (
+    Dataset,
+    EvaluationEngine,
+    ResultCache,
+    TaxiFleetConfig,
+    Trace,
+    generate_taxi_fleet,
+    geo_ind_system,
+)
 from repro.engine import EvalJob, dataset_fingerprint, job_fingerprint
 from repro.framework import load_eval_record, save_eval_record
 
@@ -109,28 +118,46 @@ class TestFingerprints:
         assert len(fps) == 5
 
 
+def _lookup(cache, fingerprint):
+    """The engine's two-tier probe: memory, then disk (promoted)."""
+    value = cache.get_memory(fingerprint)
+    if value is None:
+        value = cache.read_disk(fingerprint)
+        if value is None:
+            cache.note_miss()
+        else:
+            cache.promote(fingerprint, value)
+    return value
+
+
+def _store(cache, fingerprint, privacy, utility):
+    """The engine's write path: memory, then the disk tier."""
+    cache.put_memory(fingerprint, privacy, utility)
+    cache.write_disk(fingerprint, privacy, utility)
+
+
 class TestResultCache:
     def test_memory_only_roundtrip(self):
         cache = ResultCache()
-        assert cache.get("fp") is None
-        cache.put("fp", 0.1, 0.9)
-        assert cache.get("fp") == (0.1, 0.9)
+        assert _lookup(cache, "fp") is None
+        _store(cache, "fp", 0.1, 0.9)
+        assert _lookup(cache, "fp") == (0.1, 0.9)
         assert cache.memory_hits == 1 and cache.misses == 1
 
     def test_disk_tier_survives_new_instance(self, tmp_path):
-        ResultCache(tmp_path).put("ab" + "0" * 62, 0.25, 0.75)
+        _store(ResultCache(tmp_path), "ab" + "0" * 62, 0.25, 0.75)
         fresh = ResultCache(tmp_path)
-        assert fresh.get("ab" + "0" * 62) == (0.25, 0.75)
+        assert _lookup(fresh, "ab" + "0" * 62) == (0.25, 0.75)
         assert fresh.disk_hits == 1
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         fp = "cd" + "0" * 62
         cache = ResultCache(tmp_path)
-        cache.put(fp, 0.5, 0.5)
+        _store(cache, fp, 0.5, 0.5)
         path = tmp_path / fp[:2] / f"{fp}.json"
         path.write_text("{not json")
         fresh = ResultCache(tmp_path)
-        assert fresh.get(fp) is None
+        assert _lookup(fresh, fp) is None
 
     def test_wellformed_but_incomplete_entry_is_a_miss(self, tmp_path):
         # Valid JSON of the right kind, missing the metric values: must
@@ -141,15 +168,39 @@ class TestResultCache:
         path.write_text(json.dumps({
             "format_version": 1, "kind": "eval_record", "fingerprint": fp,
         }))
-        assert ResultCache(tmp_path).get(fp) is None
+        assert _lookup(ResultCache(tmp_path), fp) is None
 
     def test_clear_memory_keeps_disk(self, tmp_path):
         fp = "ef" + "0" * 62
         cache = ResultCache(tmp_path)
-        cache.put(fp, 0.3, 0.6)
+        _store(cache, fp, 0.3, 0.6)
         cache.clear_memory()
         assert len(cache) == 0
-        assert cache.get(fp) == (0.3, 0.6)  # promoted back from disk
+        assert _lookup(cache, fp) == (0.3, 0.6)  # promoted back from disk
+
+
+class TestMemoryBound:
+    def test_evicted_results_come_back_from_disk(self, tmp_path,
+                                                 monkeypatch):
+        """The memory tier never outgrows its bound, and a result it
+        evicted is served from the disk tier, not recomputed."""
+        monkeypatch.setattr(engine_cache, "MAX_MEMORY_ENTRIES", 3,
+                            raising=False)
+        fleet = generate_taxi_fleet(
+            TaxiFleetConfig(n_cabs=2, shift_hours=1.0, seed=7)
+        )
+        system = geo_ind_system()
+        engine = EvaluationEngine(engine="serial", cache_dir=tmp_path)
+        jobs = [EvalJob.make({"epsilon": 0.01}, seed=s) for s in range(5)]
+        first = engine.run(system, fleet, jobs)
+        assert engine.n_executions == 5
+        assert len(engine.cache) <= 3
+        again = engine.run(system, fleet, jobs[:1])  # the oldest entry
+        assert engine.n_executions == 5
+        assert again[0].cached
+        assert (again[0].privacy, again[0].utility) == \
+            (first[0].privacy, first[0].utility)
+        assert len(engine.cache) <= 3
 
 
 class TestEvalRecordFormat:

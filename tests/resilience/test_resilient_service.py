@@ -171,7 +171,7 @@ class TestDegradedDiskTiers:
         default_injector().configure("disk.write:*")
         try:
             with ServiceClient(service) as client:
-                # Each sweep's response-spill write fails; after the
+                # Each sweep's result-record writes fail; after the
                 # breaker threshold the tier opens.  Every request
                 # still answers 2xx.
                 for seed in range(4):
@@ -182,10 +182,10 @@ class TestDegradedDiskTiers:
                     assert len(result["points"]) == 2
                 health = client.healthz()
                 assert health["status"] == "degraded"
-                assert "response_spill" in health["degraded"]
+                assert "engine_results" in health["degraded"]
                 breakers = client.metrics()["resilience"]["breakers"]
-                assert breakers["response_spill"]["state"] == "open"
-                assert breakers["response_spill"]["failures"] >= 3
+                assert breakers["engine_results"]["state"] == "open"
+                assert breakers["engine_results"]["failures"] >= 3
         finally:
             service.close()
 
@@ -200,13 +200,14 @@ class TestDegradedDiskTiers:
                         {"workload": "taxi", "users": 3, "seed": seed},
                         points=2, replications=1,
                     )
-                assert registry.degraded() == ["response_spill"]
-                # The disk heals and the cooldown elapses: the next
-                # spill write is the half-open probe, and it closes
-                # the breaker.
+                assert "engine_results" in registry.degraded()
+                # The disk heals and the cooldowns elapse: each tier's
+                # next write is its half-open probe, and it closes the
+                # breaker.
                 default_injector().clear()
-                breaker = registry.breaker("response_spill")
-                breaker._retry_at = breaker._clock() - 1.0
+                for tier in registry.degraded():
+                    breaker = registry.breaker(tier)
+                    breaker._retry_at = breaker._clock() - 1.0
                 client.sweep(
                     {"workload": "taxi", "users": 3, "seed": 99},
                     points=2, replications=1,

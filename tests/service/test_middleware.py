@@ -220,8 +220,7 @@ class TestResponseCache:
         pipeline(Request("POST", "/b", body={"x": 1}), handler)
         pipeline(Request("POST", "/b", body={"x": 1}), handler)
         assert len(calls) == 3  # /a answered once from cache
-        assert cache.snapshot() == {"entries": 1, "hits": 1, "misses": 1,
-                                    "spill": False, "spill_hits": 0}
+        assert cache.snapshot() == {"entries": 1, "hits": 1, "misses": 1}
 
     def test_key_is_order_insensitive(self):
         assert canonical_body_key("POST /a", {"x": 1, "y": 2}) == \
@@ -260,6 +259,21 @@ class TestResponseCache:
         pipeline(Request("POST", "/a", body={"i": 0}), handler)
         pipeline(Request("POST", "/a", body={"i": 2}), handler)
         assert len(calls) == 1
+
+    def test_entry_bound_keeps_a_hot_entry(self):
+        """The bound is an LRU: a key hit on every request outlives
+        any number of newer misses."""
+        cache = ResponseCacheMiddleware(["POST /a"], max_entries=2)
+        pipeline = MiddlewarePipeline([cache])
+        calls = []
+        handler = lambda r: calls.append(r.body["i"]) or ok_handler(r)
+        pipeline(Request("POST", "/a", body={"i": "hot"}), handler)
+        for i in range(4):
+            pipeline(Request("POST", "/a", body={"i": i}), handler)
+            hot = pipeline(Request("POST", "/a", body={"i": "hot"}), handler)
+            assert hot.headers["X-Response-Cache"] == "hit"
+        assert calls == ["hot", 0, 1, 2, 3]
+        assert cache.snapshot()["entries"] == 2
 
     def test_cached_body_immune_to_caller_mutation(self):
         cache = ResponseCacheMiddleware(["POST /a"])

@@ -4,9 +4,10 @@ Two layers of coverage:
 
 * **shared-state semantics in-process** — two :class:`ConfigService`
   instances pointed at one ``shared_dir`` stand in for two forked
-  workers: a response primed on one must replay as a spill hit on the
-  other, and a job owned by one must be visible (and cancellable, and
-  tenant-isolated) from the other through the shared job store;
+  workers: a sweep primed on one must replay on the other with zero
+  executions through the shared result cache, and a job owned by one
+  must be visible (and cancellable, and tenant-isolated) from the
+  other through the shared job store;
 * **the real daemon** — one subprocess test boots
   ``serve --processes 2``, proves both workers answer, and drains the
   fleet with SIGTERM to exit 0.
@@ -14,6 +15,7 @@ Two layers of coverage:
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import signal
@@ -43,6 +45,9 @@ def _worker(shared_dir) -> ConfigService:
 
 
 class TestSharedResponseCache:
+    """The response cache is per process; what siblings and restarts
+    share is the engine's result disk tier under ``shared_dir``."""
+
     def test_sibling_serves_primed_response_as_hit(self, tmp_path):
         with ServiceClient(_worker(tmp_path)) as primer:
             primed = primer.sweep(**SWEEP_BODY)
@@ -50,22 +55,25 @@ class TestSharedResponseCache:
 
         with ServiceClient(_worker(tmp_path)) as sibling:
             replay = sibling.sweep(**SWEEP_BODY)
+            # A result-cache hit on disk, then a response-cache hit.
+            assert sibling.last_headers.get("X-Response-Cache") == "miss"
+            engine = sibling.metrics()["engine"]
+            sibling.sweep(**SWEEP_BODY)
             assert sibling.last_headers.get("X-Response-Cache") == "hit"
-            snapshot = sibling.metrics()["response_cache"]
 
         assert replay["points"] == primed["points"]
         assert replay["engine"]["executions_this_request"] == 0
-        assert snapshot["spill_hits"] == 1
-        assert snapshot["spill"] is True
+        assert engine["executions"] == 0
+        assert engine["disk_hits"] > 0 and engine["misses"] == 0
 
     def test_restarted_single_worker_starts_warm(self, tmp_path):
-        """The same promotion covers a plain daemon restart."""
+        """The same disk tier covers a plain daemon restart."""
         with ServiceClient(_worker(tmp_path)) as before:
-            before.sweep(**SWEEP_BODY)
+            primed = before.sweep(**SWEEP_BODY)
         with ServiceClient(_worker(tmp_path)) as after:
             replay = after.sweep(**SWEEP_BODY)
-            assert after.last_headers.get("X-Response-Cache") == "hit"
         assert replay["engine"]["executions_this_request"] == 0
+        assert replay["points"] == primed["points"]
 
     def test_without_shared_dir_siblings_are_cold(self, tmp_path):
         with ServiceClient(ConfigService(workers=1)) as primer:
@@ -138,6 +146,26 @@ class TestSharedJobStore:
             owner.close(grace_s=5.0)
             sibling.close(grace_s=5.0)
 
+    @pytest.mark.parametrize("snapshot", [
+        ["not", "a", "dict"],
+        {"job_id": "job-other", "status": "done"},
+    ])
+    def test_undecodable_record_is_quarantined(self, tmp_path, snapshot):
+        """Valid JSON that is not this job's snapshot is set aside
+        once, not re-parsed on every poll."""
+        service = _worker(tmp_path)
+        try:
+            path = tmp_path / "jobs" / "job-1.json"
+            path.write_text(json.dumps({
+                "format_version": 1, "kind": "job_snapshot",
+                "snapshot": snapshot,
+            }))
+            assert service.jobs.remote_snapshot("job-1") is None
+            assert not path.exists()
+            assert path.with_name("job-1.json.corrupt").exists()
+        finally:
+            service.close(grace_s=5.0)
+
     def test_unknown_job_is_none(self, tmp_path):
         service = _worker(tmp_path)
         try:
@@ -201,6 +229,21 @@ class TestSharedScenarioRegistry:
             assert "myfleet" not in names
             assert names  # builtins survived
         assert list((tmp_path / "scenarios").glob("*.corrupt"))
+
+    def test_record_without_a_scenario_list_is_quarantined(self, tmp_path):
+        with ServiceClient(_worker(tmp_path)) as primer:
+            primer.register_dataset("myfleet", "taxi", {"users": 3})
+        [path] = (tmp_path / "scenarios").glob("*.json")
+        record = json.loads(path.read_text())
+        record["scenarios"] = {"myfleet": "not a list"}
+        path.write_text(json.dumps(record))
+        with ServiceClient(_worker(tmp_path)) as sibling:
+            names = {
+                spec["name"] for spec in sibling.datasets()["scenarios"]
+            }
+            assert "myfleet" not in names and names
+        assert not path.exists()
+        assert path.with_name(path.name + ".corrupt").exists()
 
     def test_without_shared_dir_registry_is_local(self):
         with ServiceClient(ConfigService(workers=1)) as a:

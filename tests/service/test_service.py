@@ -233,8 +233,7 @@ class TestDatasetSpecs:
         # No response-cache entry was written or hit, yet the repeat
         # was still free via the configurator/engine tiers.
         assert metrics["response_cache"] == \
-            {"entries": 0, "hits": 0, "misses": 0,
-             "spill": False, "spill_hits": 0}
+            {"entries": 0, "hits": 0, "misses": 0}
         assert metrics["engine"]["executions"] == exec_after_first
 
     def test_missing_path_is_404(self, fresh_client):
@@ -282,8 +281,7 @@ class TestDatasetSpecs:
         fresh_client.sweep(explicit, points=4, replications=1)
         fresh_client.sweep({"workload": "taxi"}, points=4, replications=1)
         cache = fresh_client.metrics()["response_cache"]
-        assert cache == {"entries": 1, "hits": 1, "misses": 1,
-                         "spill": False, "spill_hits": 0}
+        assert cache == {"entries": 1, "hits": 1, "misses": 1}
 
 
 class TestIntrospectionLiveness:

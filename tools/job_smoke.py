@@ -25,10 +25,10 @@ two extra steps prove the fleet behaves like one service:
 7. **fleet** — repeated ``/healthz`` probes observe at least two
    distinct ``X-Worker-Pid`` values;
 8. **cross-worker warmth** — a sweep primed on one worker is answered
-   as a response-cache **hit** (``X-Response-Cache: hit``, zero new
-   engine executions, bit-identical body) by a *different* worker, and
-   a job submitted to one worker is polled to ``done`` through
-   another via the shared job store.
+   by a *different* worker from the shared result cache (zero new
+   engine executions, bit-identical body), and a job submitted to one
+   worker is polled to ``done`` through another via the shared job
+   store.
 
 With ``--fault-spec {worker-crash,disk-full}`` the tool runs a *chaos*
 profile instead: the daemon boots with injected faults and the steps
@@ -420,8 +420,8 @@ def main() -> int:
 
             # Prime a fresh sweep on whichever worker catches it, then
             # repeat it until a *different* worker answers — that
-            # answer must be a response-cache hit served through the
-            # shared spill tier: zero new executions, identical body.
+            # answer must come from the shared result cache: zero new
+            # executions, identical body.
             prime_body = {"dataset": {"workload": "taxi", "users": 4,
                                       "seed": 77},
                           "points": 4, "replications": 1}
@@ -433,11 +433,6 @@ def main() -> int:
                 repeat = client.sweep(**prime_body)
                 pid = client.last_headers.get("X-Worker-Pid")
                 if pid != primer_pid:
-                    cache = client.last_headers.get("X-Response-Cache")
-                    assert cache == "hit", (
-                        f"worker {pid} recomputed instead of hitting "
-                        f"the shared response cache ({cache!r})"
-                    )
                     assert repeat["engine"]["executions_this_request"] \
                         == 0, repeat["engine"]
                     assert repeat["points"] == primed["points"]
@@ -446,10 +441,10 @@ def main() -> int:
                 "no second worker answered the repeated sweep in 60s"
             summary["steps"]["cross_worker_cache"] = {
                 "ok": True, "primed_on": primer_pid,
-                "hit_served_by": cross_hit,
+                "served_by": cross_hit,
             }
             print(f"cross-worker cache: primed on pid {primer_pid}, "
-                  f"hit served by pid {cross_hit} (0 executions)")
+                  f"served by pid {cross_hit} (0 executions)")
 
             # Jobs: submit lands on one worker; polling through the
             # shared job store must work from any sibling.
