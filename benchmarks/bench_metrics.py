@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Metric evaluation cost: analysis cache cold vs warm, kernel speedups.
 
-Five measurements — the first three on a 50-user synthetic commuter
+Six measurements — the first three on a 50-user synthetic commuter
 dataset:
 
 * **per-metric wall time** — each registered heavyweight metric
@@ -24,6 +24,10 @@ dataset:
   rarely dwell, which is where the dead-anchor prefilter pays, and the
   shape every protected side of a POI metric has (≥ 10× expected,
   ≥ 3× in smoke);
+* **fleet generation** — twenty 2-cab taxi fleets (what a cold
+  ``/recommend`` generates) from the segment-at-a-time track builder
+  against the fix-at-a-time one; must stay bit-identical while ≥ 1.8×
+  faster;
 * **protect speedups** — the columnar ``protect_block`` path of every
   vectorised LPPM against the seed per-trace loop, on a many-user
   dataset (2500 users × 40 records full, the short-trace fleet shape
@@ -38,6 +42,7 @@ Run:  PYTHONPATH=src python benchmarks/bench_metrics.py
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 import time
@@ -72,36 +77,21 @@ BENCH_METRICS = (
 )
 
 
-def _reference_module():
-    """The seed kernels and the shared dwelling-trace fixture.
+def _reference_module(package: str):
+    """The seed implementations kept by one parity suite.
 
-    One canonical copy lives with the parity suite
-    (``tests/analysis/reference.py``) so the bench's speedup baseline
-    and the tests' bit-identity baseline can never drift apart; the
-    tests package is imported from the repo root, wherever the bench
-    is launched from.
+    One canonical copy lives with each parity suite
+    (``tests/<package>/reference.py``: the stay-point kernels and
+    dwelling-trace fixture under ``analysis``, the per-trace protect
+    paths under ``lppm``, the fix-at-a-time track builder under
+    ``synth``) so the bench's speedup baseline and the tests'
+    bit-identity baseline can never drift apart; the tests package is
+    imported from the repo root, wherever the bench is launched from.
     """
     repo_root = Path(__file__).resolve().parents[1]
     if str(repo_root) not in sys.path:
         sys.path.insert(0, str(repo_root))
-    from tests.analysis import reference
-
-    return reference
-
-
-def _lppm_reference_module():
-    """The seed per-trace protect implementations and dataset builder.
-
-    Same arrangement as :func:`_reference_module`: the canonical copy
-    lives with the block-parity suite (``tests/lppm/reference.py``) so
-    the bench baseline and the bit-identity baseline cannot drift.
-    """
-    repo_root = Path(__file__).resolve().parents[1]
-    if str(repo_root) not in sys.path:
-        sys.path.insert(0, str(repo_root))
-    from tests.lppm import reference
-
-    return reference
+    return importlib.import_module(f"tests.{package}.reference")
 
 
 def _timed(fn) -> float:
@@ -201,7 +191,7 @@ def bench_sweep(actual, protected_worlds) -> dict:
 
 def bench_kernels(n_records: int, n_stays: int) -> dict:
     """Vectorised kernels vs the seed implementations (bit-identical)."""
-    reference = _reference_module()
+    reference = _reference_module("analysis")
     trace = reference.make_dwelling_trace(
         n_records, n_places=8, block=400, user="bench"
     )
@@ -259,7 +249,7 @@ def bench_noisy_stay_points(n_cabs: int) -> dict:
     metres breaks nearly every dwell, so almost no anchor qualifies and
     the seed scan pays one full pass per record.
     """
-    reference = _reference_module()
+    reference = _reference_module("analysis")
     fleet = generate_taxi_fleet(TaxiFleetConfig(n_cabs=n_cabs, seed=0))
     traces = GeoIndistinguishability(epsilon=0.01).protect(fleet, seed=0).traces
     new = [extract_stay_points(t) for t in traces]  # warm numpy paths
@@ -289,6 +279,44 @@ def bench_noisy_stay_points(n_cabs: int) -> dict:
     }
 
 
+def bench_synth_fleet(n_fleets: int) -> dict:
+    """2-cab taxi fleets from the live builder vs the fix-at-a-time one.
+
+    The fleet a cold ``/recommend`` generates before its batch can
+    start: the live builder emits each dwell and travel segment with
+    one noise draw and one path pass, and must give the same bytes.
+    """
+    reference = _reference_module("synth")
+    configs = [TaxiFleetConfig(n_cabs=2, seed=300_009 + i)
+               for i in range(n_fleets)]
+    new = [generate_taxi_fleet(c) for c in configs]  # warm numpy paths
+    ref = [reference.generate_with_reference(generate_taxi_fleet, c)
+           for c in configs]
+    # Best of three on both sides: a fleet takes milliseconds.
+    new_s = min(
+        _timed(lambda: [generate_taxi_fleet(c) for c in configs])
+        for _ in range(3)
+    )
+    ref_s = min(
+        _timed(
+            lambda: [
+                reference.generate_with_reference(generate_taxi_fleet, c)
+                for c in configs
+            ]
+        )
+        for _ in range(3)
+    )
+    return {
+        "fleets": n_fleets,
+        "records": sum(d.n_records for d in new),
+        "reference_s": round(ref_s, 3),
+        "vectorized_s": round(new_s, 4),
+        "speedup": round(ref_s / new_s, 2) if new_s > 0 else None,
+        "bit_identical": [reference.trace_bytes(d) for d in new]
+        == [reference.trace_bytes(d) for d in ref],
+    }
+
+
 def bench_protect(n_users: int, records_per_user: int) -> dict:
     """Columnar protect vs the seed per-trace loop (bit-identical).
 
@@ -299,7 +327,7 @@ def bench_protect(n_users: int, records_per_user: int) -> dict:
     columnar block, which is prebuilt once: that is exactly what a
     sweep pays (one concatenation, many protect calls).
     """
-    reference = _lppm_reference_module()
+    reference = _reference_module("lppm")
     dataset = reference.make_block_dataset(n_users, records_per_user, seed=0)
     dataset.columns()  # shared across every mechanism, as in a sweep
     mechanisms = {
@@ -379,6 +407,7 @@ def main(argv=None) -> int:
     kernels["stay_points_noisy"] = bench_noisy_stay_points(
         16 if args.smoke else 64
     )
+    kernels["synth_taxi_fleet"] = bench_synth_fleet(20)
     results = {
         "users": len(actual),
         "records": actual.n_records,
@@ -425,6 +454,9 @@ def main(argv=None) -> int:
     sweep_floor = 1.3 if args.smoke else 1.6
     kernel_floor = 1.2 if args.smoke else 1.5
     noisy_floor = 3.0 if args.smoke else 10.0
+    # Twenty 2-cab fleets either way; 2.32-2.81x measured over 8 runs
+    # on a shared 2-vCPU VM.
+    synth_floor = 1.8
     protect_floor = 2.0 if args.smoke else 4.0
     per_lppm = results["protect"]["per_lppm"]
     ok = (
@@ -437,6 +469,7 @@ def main(argv=None) -> int:
         )
         and kernels["stay_points"]["speedup"] >= kernel_floor
         and kernels["stay_points_noisy"]["speedup"] >= noisy_floor
+        and kernels["synth_taxi_fleet"]["speedup"] >= synth_floor
         and all(r["bit_identical"] for r in per_lppm.values())
         and all(
             per_lppm[name]["speedup"] is not None

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..mobility import Dataset
-from .base import TrackBuilder
+from .base import TrackBuilder, check_knobs
 from .city import BEIJING_CENTER, CityModel
 
 __all__ = ["CommuterConfig", "generate_commuters", "beijing_city"]
@@ -46,6 +46,16 @@ class CommuterConfig:
             raise ValueError("need at least one user and one day")
         if not 0.0 <= self.leisure_probability <= 1.0:
             raise ValueError("leisure probability must be in [0, 1]")
+        check_knobs(
+            self,
+            positive=(
+                "fix_interval_move_s",
+                "fix_interval_stay_s",
+                "walk_speed_mps",
+                "vehicle_speed_mps",
+            ),
+            non_negative=("gps_noise_m",),
+        )
 
 
 def generate_commuters(

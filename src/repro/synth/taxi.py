@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..mobility import Dataset
-from .base import TrackBuilder
+from .base import TrackBuilder, check_knobs
 from .city import CityModel
 
 __all__ = ["TaxiFleetConfig", "generate_taxi_fleet"]
@@ -54,6 +54,11 @@ class TaxiFleetConfig:
             raise ValueError("break cadence must be positive")
         if not 0.0 <= self.heterogeneity < 1.0:
             raise ValueError("heterogeneity must be in [0, 1)")
+        check_knobs(
+            self,
+            positive=("shift_hours", "fix_interval_s", "speed_mps"),
+            non_negative=("gps_noise_m", "mean_fare_wait_s", "break_duration_s"),
+        )
 
 
 def generate_taxi_fleet(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..mobility import Dataset
-from .base import TrackBuilder
+from .base import TrackBuilder, check_knobs
 from .city import CityModel
 
 __all__ = ["RandomWaypointConfig", "generate_random_waypoint", "LevyFlightConfig",
@@ -35,6 +35,11 @@ class RandomWaypointConfig:
     def __post_init__(self) -> None:
         if self.n_users <= 0 or self.n_legs <= 0:
             raise ValueError("need at least one user and one leg")
+        check_knobs(
+            self,
+            positive=("speed_mps", "fix_interval_s"),
+            non_negative=("pause_s", "gps_noise_m"),
+        )
 
 
 def generate_random_waypoint(
@@ -79,10 +84,13 @@ class LevyFlightConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_knobs(
+            self,
+            positive=("alpha", "min_step_m", "speed_mps", "fix_interval_s"),
+            non_negative=("pause_s", "gps_noise_m"),
+        )
         if self.alpha <= 1.0:
             raise ValueError("Levy exponent must exceed 1")
-        if self.min_step_m <= 0:
-            raise ValueError("minimum step must be positive")
 
 
 def generate_levy_flight(

@@ -45,6 +45,36 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ScenarioSpec.make("x", "taxi", {"users": 0})
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            # Infinite shifts and durations used to be accepted and then
+            # never finish resolving.
+            ("taxi", {"shift_hours": float("inf")}),
+            ("taxi", {"break_duration_s": float("inf")}),
+            ("taxi", {"mean_fare_wait_s": float("inf")}),
+            ("random_waypoint", {"pause_s": float("inf")}),
+            ("levy_flight", {"pause_s": float("inf")}),
+            # NaN, zero intervals and bad speeds used to fail only deep
+            # inside the track builder.
+            ("taxi", {"fix_interval_s": float("nan")}),
+            ("taxi", {"fix_interval_s": 0.0}),
+            ("taxi", {"speed_mps": -8.0}),
+            ("taxi", {"shift_hours": 0.0}),
+            ("taxi", {"gps_noise_m": -1.0}),
+            ("commuters", {"fix_interval_stay_s": 0}),
+            ("commuters", {"walk_speed_mps": float("-inf")}),
+            ("random_waypoint", {"speed_mps": 0.0}),
+            ("levy_flight", {"alpha": float("nan")}),
+            ("levy_flight", {"min_step_m": float("inf")}),
+            ("levy_flight", {"fix_interval_s": "30"}),
+        ],
+    )
+    def test_non_finite_and_non_positive_knobs_rejected(self, kind, params):
+        name = next(iter(params))
+        with pytest.raises(ValueError, match=name):
+            ScenarioSpec.make("x", kind, params)
+
     def test_file_kind_requires_path(self):
         with pytest.raises(ValueError, match="path"):
             ScenarioSpec.make("x", "csv")

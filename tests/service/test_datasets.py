@@ -7,6 +7,8 @@ scenarios can never serve stale data (they bypass the response cache
 and re-key on file identity).
 """
 
+import json
+
 import pytest
 
 from repro.framework import Configurator, geo_ind_system
@@ -138,6 +140,23 @@ class TestScenarioSpecs:
                                points=3, replications=1)
         assert excinfo.value.status == 400
         assert excinfo.value.code == "invalid-dataset"
+
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_override_is_typed_400(self, fresh_client, literal):
+        # json.loads accepts these literals, so an HTTP body can carry
+        # them; an infinite shift used to pin a thread generating a
+        # fleet that never ends.
+        dataset = json.loads(
+            f'{{"scenario": "taxi", "users": 2, "shift_hours": {literal}}}'
+        )
+        with pytest.raises(ServiceClientError) as excinfo:
+            fresh_client.recommend(
+                dataset, [{"kind": "privacy", "op": "<=", "target": 0.1}],
+                points=3, replications=1,
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "invalid-dataset"
+        assert "shift_hours" in excinfo.value.message
 
     def test_protect_accepts_scenario_specs(self, fresh_client):
         result = fresh_client.protect(

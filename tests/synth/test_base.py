@@ -103,3 +103,18 @@ class TestTrackBuilder:
             b.travel([(0, 0), (1, 1)], speed_mps=0.0, interval_s=10.0)
         with pytest.raises(ValueError):
             b.skip(-5.0)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_segments_rejected(self, bad):
+        # An infinite dwell would never end; NaN used to slip past the
+        # sign checks and leave the clock at NaN.
+        b = self._builder()
+        with pytest.raises(ValueError):
+            b.dwell(0, 0, duration_s=bad, interval_s=60.0)
+        with pytest.raises(ValueError):
+            b.dwell(0, 0, duration_s=60.0, interval_s=bad)
+        with pytest.raises(ValueError):
+            b.travel([(0, 0), (1, 1)], speed_mps=bad, interval_s=10.0)
+        with pytest.raises(ValueError):
+            b.travel([(0, 0), (1, 1)], speed_mps=1.0, interval_s=bad)
+        assert b.now_s == 0.0
