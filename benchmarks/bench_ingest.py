@@ -154,7 +154,7 @@ def bench_scenario(root: Path) -> dict:
     start = time.perf_counter()
     warm = registry.resolve("bench-cabs")
     warm_s = time.perf_counter() - start
-    stats = registry.cache_stats()
+    stats = registry.counters.read()
     return {
         "cold_s": round(cold_s, 4),
         "warm_s": round(warm_s, 6),
@@ -204,7 +204,7 @@ def bench_streaming(dataset: Dataset, batch: int = 256) -> dict:
             released += sum(1 for r in out if r is not None)
     replay_s = time.perf_counter() - start
     window = manager.get("bench", dataset.users[0]).metrics()["window"]
-    stats = manager.stats()
+    stats = manager.counters.read()
     manager.close()
     growth_mb = max(0, _rss_kb() - rss_before_kb) / 1024.0
     rps = dataset.n_records / replay_s if replay_s else float("inf")

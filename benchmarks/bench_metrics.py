@@ -163,16 +163,17 @@ def bench_sweep(actual, protected_worlds) -> dict:
     for _ in range(3):
         shared = AnalysisCache()
         first_pass_s = min(first_pass_s, _timed(shared_run))
-    before = shared.kind_stats()
+    before = shared.by_kind["misses"]
     cold_s = warm_s = float("inf")
     for _ in range(3):
         cold_s = min(cold_s, _timed(cold_run))
         warm_s = min(warm_s, _timed(shared_run))
     # Artifacts the warm pass computed: a cache-hit path that misses
     # would hide behind a ratio floor, so it is counted directly.
+    after = shared.by_kind.read()
     warm_misses = {
-        kind: row["misses"] - before.get(kind, {"misses": 0})["misses"]
-        for kind, row in shared.kind_stats().items()
+        kind: after["misses"].get(kind, 0) - before.get(kind, 0)
+        for kind in sorted({*after["hits"], *after["misses"]})
     }
     return {
         "points": len(protected_worlds),
@@ -184,7 +185,7 @@ def bench_sweep(actual, protected_worlds) -> dict:
         "first_pass_speedup": (
             round(cold_s / first_pass_s, 2) if first_pass_s > 0 else None
         ),
-        "analysis_cache": shared.stats,
+        "analysis_cache": shared.counters.read(),
         "warm_misses": warm_misses,
     }
 

@@ -88,7 +88,7 @@ def main() -> None:
     write_csv(release, out)
     print(f"[deploy] protected release written to {out} "
           f"({release.n_records} records)")
-    print(f"[engine] {engine.stats}")
+    print(f"[engine] {engine.counters.read()}")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ addressed LRU (:class:`AnalysisCache`) and exposes cached accessors
 that the metrics, attacks and property extractors call instead of the
 raw pipelines.  The evaluation engine owns one cache per instance,
 installs it ambiently for the batches it runs (:func:`use_cache`) and
-reports its counters through ``engine.stats`` and the service's
+reports its counters through ``engine.counters`` and the service's
 ``/metrics``; process-pool workers hold a per-process default cache,
 seeded with the dataset fingerprint whenever a task ships them a new
 dataset.

@@ -33,6 +33,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Tuple
 
 from ..lru import BoundedLRU
+from ..obs import Counters, Gauge
 
 if TYPE_CHECKING:
     from ..mobility import Dataset, Trace
@@ -139,15 +140,23 @@ class AnalysisCache:
         # Datasets already seeded, so a per-batch :meth:`seed_dataset`
         # costs O(1) after the first call.
         self._seeded = WeakIdentityMemo()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        #: Disk-tier hits (a subset of :attr:`hits`): artifacts served
-        #: from the spill instead of recomputed.
-        self.spill_hits = 0
-        #: kind -> [hits, misses]; the counters behind "the actual-side
-        #: pipeline ran once" assertions in tests and benchmarks.
-        self._by_kind: Dict[str, list] = {}
+        #: The engine reports these under ``analysis_*`` keys, which is
+        #: how they reach ``/metrics``.  ``spill_hits`` (a subset of
+        #: ``hits``) counts artifacts served from the spill instead of
+        #: recomputed.
+        self.counters = Counters(
+            hits=0,
+            misses=0,
+            spill_hits=0,
+            entries=Gauge(lambda: len(self._entries)),
+            evictions=0,
+            max_entries=Gauge(lambda: self.max_entries),
+        )
+        #: Hits and misses per artifact kind.  A kind's ``misses`` is
+        #: exactly the number of times that artifact family was
+        #: *computed*: the quantity "the actual-side POI pipeline ran
+        #: once per dataset" claims are stated in.
+        self.by_kind = Counters(hits={}, misses={})
         self._spill = None
         if spill_dir is not None:
             self.attach_spill(spill_dir)
@@ -244,8 +253,8 @@ class AnalysisCache:
         """
         with self._lock:
             if key in self._entries:
-                self.hits += 1
-                self._kind_counter(kind)[0] += 1
+                self.counters.add(hits=1)
+                self.by_kind.add(hits={kind: 1})
                 return self._entries.touch(key)
             spill = self._spill
         spillable = spill is not None and spill.handles(key, kind)
@@ -254,14 +263,12 @@ class AnalysisCache:
             # loaders of one key decode identical content.
             spilled = spill.load(key, kind)
             if spilled is not None:
+                self.counters.add(hits=1, spill_hits=1)
+                self.by_kind.add(hits={kind: 1})
                 with self._lock:
-                    self.hits += 1
-                    self.spill_hits += 1
-                    self._kind_counter(kind)[0] += 1
                     return self._insert_locked(key, spilled)
-        with self._lock:
-            self.misses += 1
-            self._kind_counter(kind)[1] += 1
+        self.counters.add(misses=1)
+        self.by_kind.add(misses={kind: 1})
         computed = compute()
         with self._lock:
             # A concurrent computation may have won the race; keep its
@@ -273,45 +280,13 @@ class AnalysisCache:
 
     def _insert_locked(self, key: Tuple, value):
         value, evicted = self._entries.add(key, value)
-        self.evictions += len(evicted)
+        if evicted:
+            self.counters.add(evictions=len(evicted))
         return value
-
-    def _kind_counter(self, kind: str) -> list:
-        counter = self._by_kind.get(kind)
-        if counter is None:
-            counter = self._by_kind[kind] = [0, 0]
-        return counter
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def stats(self) -> Dict[str, int]:
-        """Flat JSON-ready counters (the engine re-exports these under
-        ``analysis_*`` keys, which is how they reach ``/metrics``)."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "spill_hits": self.spill_hits,
-                "entries": len(self._entries),
-                "evictions": self.evictions,
-                "max_entries": self.max_entries,
-            }
-
-    def kind_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-artifact-kind hit/miss counters.
-
-        ``misses`` is exactly the number of times that artifact family
-        was *computed* — the quantity "the actual-side POI pipeline ran
-        once per dataset" claims are stated in.
-        """
-        with self._lock:
-            return {
-                kind: {"hits": h, "misses": m}
-                for kind, (h, m) in sorted(self._by_kind.items())
-            }
-
     def clear(self) -> None:
         """Drop every artifact and memoised key (counters survive)."""
         with self._lock:

@@ -422,7 +422,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(sweep_table(configurator.sweep))
     print()
     print(model_summary(model))
-    print(f"\nengine: {engine.stats}")
+    print(f"\nengine: {engine.counters.read()}")
     if args.csv:
         configurator.sweep.write_csv(args.csv)
         print(f"sweep written to {args.csv}")

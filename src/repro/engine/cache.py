@@ -16,9 +16,10 @@ format versioning and survive releases.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from ..lru import BoundedLRU
+from ..obs import Counters, Gauge
 
 __all__ = ["ResultCache", "MAX_MEMORY_ENTRIES"]
 
@@ -58,10 +59,12 @@ class ResultCache:
             self._disk = RecordStore(
                 self.cache_dir, "eval_record", "engine_results"
             )
-        #: Cache hit counters, by tier.
-        self.memory_hits = 0
-        self.disk_hits = 0
-        self.misses = 0
+        #: Hit counters by tier (``hits`` totals both) and the memory
+        #: tier's size: the cache's part of the engine's counters.
+        self.counters = Counters(
+            memory_hits=0, disk_hits=0, hits=0, misses=0,
+            entries=Gauge(lambda: len(self._memory)),
+        )
 
     def get_memory(self, fingerprint: str) -> Optional[Tuple[float, float]]:
         """Memory-tier-only lookup; counts a hit, never a miss.
@@ -72,7 +75,7 @@ class ResultCache:
         """
         value = self._memory.touch(fingerprint)
         if value is not None:
-            self.memory_hits += 1
+            self.counters.add(memory_hits=1, hits=1)
         return value
 
     def peek_memory(self, fingerprint: str) -> Optional[Tuple[float, float]]:
@@ -101,11 +104,11 @@ class ResultCache:
     def promote(self, fingerprint: str, value: Tuple[float, float]) -> None:
         """Install a disk-read value into the memory tier (a disk hit)."""
         self._memory.add(fingerprint, value)
-        self.disk_hits += 1
+        self.counters.add(disk_hits=1, hits=1)
 
     def note_miss(self) -> None:
         """Record one miss (the caller will compute and write it)."""
-        self.misses += 1
+        self.counters.add(misses=1)
 
     def put_memory(
         self, fingerprint: str, privacy: float, utility: float
@@ -146,21 +149,6 @@ class ResultCache:
                 utility=float(utility),
             )
             self._disk.write(fingerprint, record)
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        """Hit/miss counters and entry count, JSON-ready.
-
-        This is the cache's contribution to the service's ``/metrics``
-        endpoint; ``hits`` totals both tiers.
-        """
-        return {
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "hits": self.memory_hits + self.disk_hits,
-            "misses": self.misses,
-            "entries": len(self._memory),
-        }
 
     def __len__(self) -> int:
         return len(self._memory)

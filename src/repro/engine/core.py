@@ -49,6 +49,7 @@ from typing import (
 )
 
 from ..analysis import AnalysisCache, use_cache
+from ..obs import Counters
 from .backends import (
     ExecutionBackend,
     ProcessPoolBackend,
@@ -160,8 +161,16 @@ class EvaluationEngine:
         self.analysis = AnalysisCache(spill_dir=self._analysis_spill_dir)
         self._serial = SerialBackend()
         self._process: Optional[ProcessPoolBackend] = None
-        #: Real (non-cached) protect + measure executions performed.
-        self.n_executions = 0
+        #: Real (non-cached) protect + measure executions, then the
+        #: result cache's counters and the analysis cache's under
+        #: ``analysis_*`` keys: the engine block of ``/metrics`` and of
+        #: every evaluating reply.  With the process backend the
+        #: analysis counts cover only work done in this process; pooled
+        #: workers cache in their own processes, whose counters are not
+        #: aggregated here.
+        self.counters = Counters(executions=0).include(
+            self.cache.counters
+        ).include(self.analysis.counters, prefix="analysis_")
         # Guards the cache, the execution counter and backend
         # construction.  Never held while a backend runs protect +
         # measure work, so concurrent callers only serialise on
@@ -217,9 +226,14 @@ class EvaluationEngine:
         finally:
             stack.remove(counter)
 
+    @property
+    def n_executions(self) -> int:
+        """Real (non-cached) protect + measure executions performed."""
+        return self.counters["executions"]
+
     def _note_executions(self, n: int) -> None:
         """Record ``n`` fresh executions (lock held by the caller)."""
-        self.n_executions += n
+        self.counters.add(executions=n)
         for counter in getattr(self._tls, "counters", ()):
             counter.count += n
 
@@ -461,29 +475,6 @@ class EvaluationEngine:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def stats(self) -> Dict[str, int]:
-        """Execution and cache counters, for reports and benchmarks.
-
-        The cache-side keys come from :attr:`ResultCache.stats`;
-        ``executions`` counts real protect + measure runs, the quantity
-        the paper's cost comparisons — and the service's ``/metrics``
-        endpoint — are stated in.  The ``analysis_*`` keys re-export
-        the derived-artifact cache's counters
-        (:attr:`AnalysisCache.stats`) under the same roof.  With the
-        process backend those counters cover only work done in this
-        process; pooled workers cache in their own processes, whose
-        counters are not aggregated here.
-        """
-        with self._lock:
-            stats = {"executions": self.n_executions, **self.cache.stats}
-        for key, value in self.analysis.stats.items():
-            stats[f"analysis_{key}"] = value
-        return stats
 
     def __repr__(self) -> str:
         cache_dir = self.cache.cache_dir

@@ -25,7 +25,7 @@ from .breaker import (
     write_guarded,
 )
 from .events import (
-    events_by_kind,
+    EVENT_COUNTS,
     record_event,
     recent_events,
     reset_events,
@@ -46,8 +46,8 @@ __all__ = [
     "BreakerRegistry",
     "default_registry",
     "write_guarded",
+    "EVENT_COUNTS",
     "record_event",
     "recent_events",
-    "events_by_kind",
     "reset_events",
 ]

@@ -15,9 +15,8 @@ through :func:`write_guarded` (by way of
   probe write through: success closes it, failure re-opens it.
 
 State is visible end to end: ``GET /healthz`` lists non-closed tiers
-under ``degraded`` and ``/metrics`` carries the full per-tier counter
-snapshot, so a chaos test (or an operator) can watch a tier open,
-probe, and heal.
+under ``degraded`` and ``/metrics`` carries every tier's counters, so
+a chaos test (or an operator) can watch a tier open, probe, and heal.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional
 
+from ..obs import Counters, Gauge
 from .events import record_event
 
 logger = logging.getLogger("repro.resilience")
@@ -68,10 +68,14 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         self._retry_at = 0.0
         self._probe_in_flight = False
-        self.successes = 0
-        self.failures = 0
-        self.skipped = 0
-        self.opened = 0
+        self.counters = Counters(
+            state=Gauge(lambda: self.state),
+            successes=0,
+            failures=0,
+            skipped=0,
+            opened=0,
+            consecutive_failures=Gauge(lambda: self._consecutive_failures),
+        )
 
     def allow(self) -> bool:
         """May the caller attempt a write right now?
@@ -86,21 +90,21 @@ class CircuitBreaker:
                 return True
             if self.state == "open":
                 if self._clock() < self._retry_at:
-                    self.skipped += 1
+                    self.counters.add(skipped=1)
                     return False
                 self.state = "half_open"
                 self._probe_in_flight = True
                 return True
             # half_open: one probe at a time.
             if self._probe_in_flight:
-                self.skipped += 1
+                self.counters.add(skipped=1)
                 return False
             self._probe_in_flight = True
             return True
 
     def record_success(self) -> None:
+        self.counters.add(successes=1)
         with self._lock:
-            self.successes += 1
             self._consecutive_failures = 0
             self._probe_in_flight = False
             if self.state != "closed":
@@ -108,8 +112,8 @@ class CircuitBreaker:
                 record_event("breaker.closed", tier=self.tier)
 
     def record_failure(self) -> None:
+        self.counters.add(failures=1)
         with self._lock:
-            self.failures += 1
             self._consecutive_failures += 1
             was_half_open = self.state == "half_open"
             self._probe_in_flight = False
@@ -121,24 +125,13 @@ class CircuitBreaker:
                 self._retry_at = self._clock() + self.cooldown_s
                 if self.state != "open":
                     self.state = "open"
-                    self.opened += 1
+                    self.counters.add(opened=1)
                     record_event(
                         "breaker.open",
                         tier=self.tier,
                         consecutive_failures=self._consecutive_failures,
                         cooldown_s=self.cooldown_s,
                     )
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "state": self.state,
-                "successes": self.successes,
-                "failures": self.failures,
-                "skipped": self.skipped,
-                "opened": self.opened,
-                "consecutive_failures": self._consecutive_failures,
-            }
 
 
 class BreakerRegistry:
@@ -169,19 +162,17 @@ class BreakerRegistry:
                 self._breakers[tier] = found
             return found
 
+    def breakers(self) -> Dict[str, CircuitBreaker]:
+        """Every breaker created so far, by tier, in creation order."""
+        with self._lock:
+            return dict(self._breakers)
+
     def degraded(self) -> List[str]:
         """Tiers whose breaker is not closed, sorted for stable JSON."""
-        with self._lock:
-            breakers = list(self._breakers.items())
         return sorted(
-            tier for tier, breaker in breakers
+            tier for tier, breaker in self.breakers().items()
             if breaker.state != "closed"
         )
-
-    def snapshot(self) -> Dict[str, dict]:
-        with self._lock:
-            breakers = list(self._breakers.items())
-        return {tier: breaker.snapshot() for tier, breaker in breakers}
 
     def reset(self) -> None:
         """Drop every breaker — test hygiene for the global registry."""

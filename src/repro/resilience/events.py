@@ -4,9 +4,10 @@ Every time the system survives a fault by degrading — a worker pool
 rebuilt, a cache tier's breaker opened, a sweep finished serially —
 the survivor records an event here.  The log is the proof that
 degraded mode happened and the pointer to why: ``/metrics`` exposes
-the per-kind counters plus the most recent entries, and each event is
-mirrored to the ``repro.resilience`` logger at WARNING so daemon
-stderr doubles as a degradation-event log for CI artifacts.
+the per-kind counts (:data:`EVENT_COUNTS`) plus the most recent
+entries, and each event is mirrored to the ``repro.resilience`` logger
+at WARNING so daemon stderr doubles as a degradation-event log for CI
+artifacts.
 
 Bounded by a deque: a service that degrades for hours must not grow
 an unbounded list.
@@ -18,17 +19,20 @@ import logging
 import threading
 import time
 from collections import deque
-from typing import Dict, List
+from typing import List
+
+from ..obs import Counters
 
 __all__ = [
-    "record_event", "recent_events", "events_by_kind", "reset_events",
+    "EVENT_COUNTS", "record_event", "recent_events", "reset_events",
 ]
 
 logger = logging.getLogger("repro.resilience")
 
 _LOCK = threading.Lock()
 _EVENTS: deque = deque(maxlen=256)
-_BY_KIND: Dict[str, int] = {}
+#: Events per kind since process start (or reset), one count per kind.
+EVENT_COUNTS = Counters()
 
 
 def record_event(kind: str, **fields) -> None:
@@ -38,7 +42,7 @@ def record_event(kind: str, **fields) -> None:
     entry["time"] = time.time()
     with _LOCK:
         _EVENTS.append(entry)
-        _BY_KIND[kind] = _BY_KIND.get(kind, 0) + 1
+    EVENT_COUNTS.add(**{kind: 1})
     logger.warning("degradation event %s %s", kind, fields)
 
 
@@ -48,14 +52,8 @@ def recent_events(limit: int = 20) -> List[dict]:
         return list(_EVENTS)[-max(0, int(limit)):]
 
 
-def events_by_kind() -> Dict[str, int]:
-    """Total events per kind since process start (or reset)."""
-    with _LOCK:
-        return dict(_BY_KIND)
-
-
 def reset_events() -> None:
     """Forget everything — test hygiene for the process-global log."""
     with _LOCK:
         _EVENTS.clear()
-        _BY_KIND.clear()
+    EVENT_COUNTS.reset()

@@ -43,6 +43,8 @@ import os
 import threading
 from typing import Dict, Optional, Union
 
+from ..obs import Counters, Gauge
+
 __all__ = ["FAULT_POINTS", "FaultInjector", "default_injector", "fire"]
 
 logger = logging.getLogger("repro.resilience")
@@ -121,8 +123,14 @@ class FaultInjector:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._faults: Dict[str, _Fault] = {}
-        self._fired: Dict[str, int] = {}
         self.active = False
+        #: Armed points (with the firings each has left) and fired
+        #: counts, for ``/metrics``.
+        self.counters = Counters(
+            active=Gauge(lambda: self.active),
+            armed=Gauge(self._armed),
+            fired={},
+        )
 
     def configure(self, spec: str) -> None:
         """Arm the faults described by ``spec`` (replacing any armed)."""
@@ -137,8 +145,8 @@ class FaultInjector:
         """Disarm every fault and forget the fired counters."""
         with self._lock:
             self._faults = {}
-            self._fired = {}
             self.active = False
+        self.counters.reset()
 
     def fire(self, point: str) -> Union[None, bool, str]:
         """One production-code probe of ``point``.
@@ -159,23 +167,16 @@ class FaultInjector:
                     del self._faults[point]
                     if not self._faults:
                         self.active = False
-            self._fired[point] = self._fired.get(point, 0) + 1
+        self.counters.add(fired={point: 1})
         logger.warning("fault point fired: %s (value=%r)",
                        point, fault.value)
         return fault.value if fault.value is not None else True
 
-    def snapshot(self) -> dict:
-        """Armed points and fired counters, for ``/metrics``."""
+    def _armed(self) -> Dict[str, Union[int, str]]:
         with self._lock:
-            armed = {
-                point: ("*" if fault.remaining is None
-                        else fault.remaining)
-                for point, fault in self._faults.items()
-            }
             return {
-                "active": self.active,
-                "armed": armed,
-                "fired": dict(self._fired),
+                point: "*" if fault.remaining is None else fault.remaining
+                for point, fault in self._faults.items()
             }
 
 

@@ -22,6 +22,7 @@ from typing import Dict, List, Mapping, Optional
 
 from ..lru import BoundedLRU
 from ..mobility import Dataset
+from ..obs import Counters, Gauge
 from .spec import ScenarioSpec
 
 __all__ = [
@@ -77,8 +78,13 @@ class ScenarioRegistry:
         self._specs: Dict[str, ScenarioSpec] = {}
         #: fingerprint -> resolved dataset, in LRU order (oldest first).
         self._cache = BoundedLRU(cache_size)
-        self.cache_hits = 0
-        self.cache_misses = 0
+        #: The resolved-dataset LRU's size and hit counts.
+        self.counters = Counters(
+            entries=Gauge(lambda: len(self._cache)),
+            capacity=Gauge(lambda: self._cache.max_entries),
+            hits=0,
+            misses=0,
+        )
         if include_builtins:
             for name, kind, params, description in _BUILTINS:
                 self.register(
@@ -166,25 +172,15 @@ class ScenarioRegistry:
             fingerprint = spec.fingerprint()
         with self._lock:
             dataset = self._cache.touch(fingerprint)
-            if dataset is not None:
-                self.cache_hits += 1
-                return dataset
-            self.cache_misses += 1
+        if dataset is not None:
+            self.counters.add(hits=1)
+            return dataset
+        self.counters.add(misses=1)
         dataset = spec.resolve()
         with self._lock:
             # A concurrent resolver may have won the race; keep its
             # object so engine fingerprint memoisation stays shared.
             return self._cache.add(fingerprint, dataset)[0]
-
-    def cache_stats(self) -> dict:
-        """JSON-ready counters of the resolved-dataset LRU."""
-        with self._lock:
-            return {
-                "entries": len(self._cache),
-                "capacity": self._cache.max_entries,
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-            }
 
     def clear_cache(self) -> None:
         """Drop every cached dataset (specs stay registered)."""

@@ -45,9 +45,9 @@ from ..framework import geo_ind_system
 from .handlers import SCHEMAS, make_handlers, make_job_handlers
 from .jobs import JOB_ENDPOINTS, Job, JobManager
 from ..resilience import (
+    EVENT_COUNTS,
     default_injector,
     default_registry,
-    events_by_kind,
     recent_events,
 )
 from ..resilience.faults import FAULT_SPEC_ENV as _FAULT_SPEC_ENV
@@ -322,7 +322,7 @@ class ConfigService:
         if isinstance(body.get("engine"), dict):
             body["engine"] = {
                 "executions_this_request": 0,
-                **self.state.engine.stats,
+                **self.state.engine.counters.read(),
             }
         return body
 
@@ -435,30 +435,35 @@ class ConfigService:
     # Metrics endpoint (owns the middleware instances, so lives here)
     # ------------------------------------------------------------------
     def _metrics_handler(self, request: Request) -> dict:
+        """Every owner's :class:`~repro.obs.Counters`, one section each."""
+        state, breakers = self.state, default_registry()
         return {
-            "service": self.metrics.snapshot(),
-            "engine": self.state.engine.stats,
-            "response_cache": self.response_cache.snapshot(),
-            "auth": self.auth.snapshot(),
-            "rate_limit": self.rate_limit.snapshot(),
-            "compression": self.compression.snapshot(),
-            "jobs": self.jobs.stats(),
-            "streaming": self.state.streaming.stats(),
+            "service": self.metrics.counters.read(),
+            "engine": state.engine.counters.read(),
+            "response_cache": self.response_cache.counters.read(),
+            "auth": self.auth.counters.read(),
+            "rate_limit": self.rate_limit.counters.read(),
+            "compression": self.compression.counters.read(),
+            "jobs": self.jobs.counters.read(),
+            "streaming": state.streaming.counters.read(),
             "resilience": {
-                "degraded": default_registry().degraded(),
-                "breakers": default_registry().snapshot(),
-                "events": events_by_kind(),
+                "degraded": breakers.degraded(),
+                "breakers": {
+                    tier: breaker.counters.read()
+                    for tier, breaker in breakers.breakers().items()
+                },
+                "events": EVENT_COUNTS.read(),
                 "recent_events": recent_events(10),
-                "faults": default_injector().snapshot(),
-                "load_shed": self.load_shed.snapshot(),
-                "deadline": self.deadline.snapshot(),
+                "faults": default_injector().counters.read(),
+                "load_shed": self.load_shed.counters.read(),
+                "deadline": self.deadline.counters.read(),
             },
             "registry": {
-                "datasets": self.state.n_datasets,
-                "configurators": self.state.n_configurators,
-                "scenarios": self.state.n_scenarios,
-                "tenants": self.state.n_tenants,
-                "scenario_cache": self.state.scenarios.cache_stats(),
+                "datasets": state.n_datasets,
+                "configurators": state.n_configurators,
+                "scenarios": state.n_scenarios,
+                "tenants": state.n_tenants,
+                "scenario_cache": state.scenarios.counters.read(),
             },
             "pipeline": self.pipeline.names,
         }

@@ -196,7 +196,7 @@ def make_handlers(
                 raise ServiceError(422, "evaluation-failed", str(exc))
         return result, {
             "executions_this_request": cost.count,
-            **state.engine.stats,
+            **state.engine.counters.read(),
         }
 
     # ------------------------------------------------------------------
@@ -338,7 +338,7 @@ def make_handlers(
                 dict(spec.to_jsonable(), file_backed=spec.is_file_backed)
                 for spec in registry.specs()
             ],
-            "cache": registry.cache_stats(),
+            "cache": registry.counters.read(),
         }
 
     def datasets_register(request: Request) -> dict:
@@ -650,7 +650,7 @@ def make_job_handlers(
                 job.snapshot(include_result=False)
                 for job in manager.jobs(tenant=tenant_of(request))
             ],
-            **manager.stats(),
+            **manager.counters.read(),
         }
 
     return {

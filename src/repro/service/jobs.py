@@ -25,6 +25,7 @@ announces its job count, and completions arrive job by job, so
 
 from __future__ import annotations
 
+import collections
 import copy
 import itertools
 import logging
@@ -36,6 +37,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..engine import EvaluationCancelled
 from ..framework.store import RecordStore
+from ..obs import Counters, Gauge
 from .middleware import ANONYMOUS_TENANT, Response, ServiceError, instance_tag
 
 __all__ = ["Job", "JobManager", "JOB_ENDPOINTS", "JOB_STATES"]
@@ -265,6 +267,19 @@ class JobManager:
         self._accepting = True
         self._counter = itertools.count(1)
         self._instance = instance_tag(self)
+        #: Queue and worker state for ``GET /jobs`` and ``/metrics``.
+        self.counters = Counters(
+            workers=Gauge(lambda: self.workers),
+            max_queued=Gauge(lambda: self.max_queued),
+            max_jobs_per_tenant=Gauge(lambda: self.max_jobs_per_tenant),
+            ttl_s=Gauge(lambda: self.ttl_s),
+            queued=Gauge(lambda: self._n_queued),
+            running=Gauge(lambda: self._n_running),
+            tracked=Gauge(lambda: len(self.jobs())),
+            by_status=Gauge(lambda: dict(collections.Counter(
+                job.status for job in self.jobs()
+            ))),
+        )
         self._threads = [
             threading.Thread(
                 target=self._worker, name=f"job-worker-{i}", daemon=True
@@ -401,25 +416,6 @@ class JobManager:
                 job for job in self._jobs.values()
                 if tenant is None or job.tenant == tenant
             ]
-
-    def stats(self) -> dict:
-        """Queue/worker counters for ``GET /jobs`` and ``/metrics``."""
-        with self._lock:
-            self._purge_locked()
-            by_status: Dict[str, int] = {}
-            for job in self._jobs.values():
-                with job.lock:
-                    by_status[job.status] = by_status.get(job.status, 0) + 1
-            return {
-                "workers": self.workers,
-                "max_queued": self.max_queued,
-                "max_jobs_per_tenant": self.max_jobs_per_tenant,
-                "ttl_s": self.ttl_s,
-                "queued": self._n_queued,
-                "running": self._n_running,
-                "tracked": len(self._jobs),
-                "by_status": by_status,
-            }
 
     # ------------------------------------------------------------------
     # Shared job store (cross-process visibility)

@@ -58,6 +58,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..engine import EvaluationCancelled
 from ..lru import BoundedLRU
+from ..obs import Counters, Gauge
 
 __all__ = [
     "Request",
@@ -387,10 +388,9 @@ class CompressionMiddleware(Middleware):
             raise ValueError("min_bytes must be non-negative")
         self.min_bytes = int(min_bytes)
         self.level = int(level)
-        self._lock = threading.Lock()
-        self.responses_compressed = 0
-        self.bytes_in = 0
-        self.bytes_out = 0
+        self.counters = Counters(
+            responses_compressed=0, bytes_in=0, bytes_out=0, bytes_saved=0,
+        )
 
     def handle(self, request: Request, call_next: Handler) -> Response:
         response = call_next(request)
@@ -408,21 +408,13 @@ class CompressionMiddleware(Middleware):
         response.encoded_body = compressed
         response.headers["Content-Encoding"] = "gzip"
         response.headers.setdefault("Vary", "Accept-Encoding")
-        with self._lock:
-            self.responses_compressed += 1
-            self.bytes_in += len(payload)
-            self.bytes_out += len(compressed)
+        self.counters.add(
+            responses_compressed=1,
+            bytes_in=len(payload),
+            bytes_out=len(compressed),
+            bytes_saved=len(payload) - len(compressed),
+        )
         return response
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            saved = self.bytes_in - self.bytes_out
-            return {
-                "responses_compressed": self.responses_compressed,
-                "bytes_in": self.bytes_in,
-                "bytes_out": self.bytes_out,
-                "bytes_saved": saved,
-            }
 
 
 # ----------------------------------------------------------------------
@@ -431,9 +423,8 @@ class CompressionMiddleware(Middleware):
 class MetricsMiddleware(Middleware):
     """Per-endpoint request counters and wall-clock accounting.
 
-    Counters live on the middleware itself and are read by the
-    ``/metrics`` handler; access is lock-protected because the HTTP
-    front-end is threaded.
+    The counts live in the middleware's :class:`~repro.obs.Counters`
+    bag, which the ``/metrics`` handler reads as its ``service`` section.
 
     ``known_endpoints`` bounds label cardinality: requests to any other
     endpoint (scanners probing random paths, typo'd clients) are
@@ -447,18 +438,19 @@ class MetricsMiddleware(Middleware):
     UNROUTED = "<unrouted>"
 
     def __init__(self, known_endpoints: Optional[Sequence[str]] = None) -> None:
-        self._lock = threading.Lock()
         self.known_endpoints = (
             frozenset(known_endpoints) if known_endpoints is not None else None
         )
-        self.requests_total = 0
-        self.by_endpoint: Dict[str, int] = {}
-        self.by_status: Dict[int, int] = {}
-        self.wall_clock_s: Dict[str, float] = {}
-        #: endpoint -> requests currently inside this layer (gauges,
-        #: not counters: entries drop back out as requests complete).
-        self.in_flight: Dict[str, int] = {}
-        self.response_cache_hits = 0
+        self.counters = Counters(
+            requests_total=0,
+            requests_by_endpoint={},
+            responses_by_status={},
+            wall_clock_s_by_endpoint={},
+            # Requests currently inside this layer: each entry drops
+            # back out as its last request completes.
+            in_flight_by_endpoint={},
+            response_cache_hits=0,
+        )
 
     def handle(self, request: Request, call_next: Handler) -> Response:
         # The endpoint label is fixed *before* calling inward so the
@@ -470,47 +462,24 @@ class MetricsMiddleware(Middleware):
             and endpoint not in self.known_endpoints
         ):
             endpoint = self.UNROUTED
-        with self._lock:
-            self.in_flight[endpoint] = self.in_flight.get(endpoint, 0) + 1
+        counters = self.counters
+        counters.add(in_flight_by_endpoint={endpoint: 1})
         start = time.perf_counter()
         try:
             response = call_next(request)
         finally:
             elapsed = time.perf_counter() - start
-            with self._lock:
-                remaining = self.in_flight.get(endpoint, 1) - 1
-                if remaining > 0:
-                    self.in_flight[endpoint] = remaining
-                else:
-                    self.in_flight.pop(endpoint, None)
-        with self._lock:
-            self.requests_total += 1
-            self.by_endpoint[endpoint] = self.by_endpoint.get(endpoint, 0) + 1
-            self.by_status[response.status] = (
-                self.by_status.get(response.status, 0) + 1
-            )
-            self.wall_clock_s[endpoint] = (
-                self.wall_clock_s.get(endpoint, 0.0) + elapsed
-            )
-            if request.context.get("response_cache_hit"):
-                self.response_cache_hits += 1
+            counters.add(in_flight_by_endpoint={endpoint: -1})
+        counters.add(
+            requests_total=1,
+            requests_by_endpoint={endpoint: 1},
+            responses_by_status={str(response.status): 1},
+            wall_clock_s_by_endpoint={endpoint: elapsed},
+            response_cache_hits=(
+                1 if request.context.get("response_cache_hit") else 0
+            ),
+        )
         return response
-
-    def snapshot(self) -> dict:
-        """A JSON-ready copy of every counter."""
-        with self._lock:
-            return {
-                "requests_total": self.requests_total,
-                "requests_by_endpoint": dict(self.by_endpoint),
-                "responses_by_status": {
-                    str(k): v for k, v in sorted(self.by_status.items())
-                },
-                "wall_clock_s_by_endpoint": {
-                    k: round(v, 6) for k, v in self.wall_clock_s.items()
-                },
-                "in_flight_by_endpoint": dict(self.in_flight),
-                "response_cache_hits": self.response_cache_hits,
-            }
 
 
 # ----------------------------------------------------------------------
@@ -694,14 +663,16 @@ class ApiKeyAuthMiddleware(Middleware):
         self.allow_anonymous = bool(allow_anonymous)
         self.exempt = frozenset(exempt)
         self.header = header
-        self._lock = threading.Lock()
-        self.authenticated = 0
-        self.anonymous = 0
-        self.denied: Dict[str, int] = {}
+        self.counters = Counters(
+            keys=Gauge(lambda: len(self.store)),
+            allow_anonymous=Gauge(lambda: self.allow_anonymous),
+            authenticated=0,
+            anonymous=0,
+            denied={},
+        )
 
     def _deny(self, status: int, code: str, message: str) -> ServiceError:
-        with self._lock:
-            self.denied[code] = self.denied.get(code, 0) + 1
+        self.counters.add(denied={code: 1})
         return ServiceError(status, code, message)
 
     def handle(self, request: Request, call_next: Handler) -> Response:
@@ -716,8 +687,7 @@ class ApiKeyAuthMiddleware(Middleware):
                     f"this service requires a {self.header} header",
                 )
             request.context["tenant"] = ANONYMOUS_TENANT
-            with self._lock:
-                self.anonymous += 1
+            self.counters.add(anonymous=1)
             return call_next(request)
         state, tenant = self.store.lookup(key)
         if state == "revoked":
@@ -729,21 +699,10 @@ class ApiKeyAuthMiddleware(Middleware):
                 401, "invalid-api-key", "unrecognised API key"
             )
         request.context["tenant"] = tenant
-        with self._lock:
-            self.authenticated += 1
+        self.counters.add(authenticated=1)
         response = call_next(request)
         response.headers.setdefault("X-Tenant", str(tenant))
         return response
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "keys": len(self.store),
-                "allow_anonymous": self.allow_anonymous,
-                "authenticated": self.authenticated,
-                "anonymous": self.anonymous,
-                "denied": dict(self.denied),
-            }
 
 
 # ----------------------------------------------------------------------
@@ -790,8 +749,13 @@ class RateLimitMiddleware(Middleware):
         self._lock = threading.Lock()
         #: tenant -> [tokens, last-refill timestamp].
         self._buckets: Dict[str, List[float]] = {}
-        self.allowed = 0
-        self.rejected = 0
+        self.counters = Counters(
+            rate_per_s=Gauge(lambda: self.rate),
+            burst=Gauge(lambda: self.burst),
+            tenants=Gauge(lambda: len(self._buckets)),
+            allowed=0,
+            rejected=0,
+        )
 
     def handle(self, request: Request, call_next: Handler) -> Response:
         if self.rate is None or request.endpoint in self.exempt:
@@ -807,14 +771,13 @@ class RateLimitMiddleware(Middleware):
             if tokens >= 1.0:
                 bucket[0] = tokens - 1.0
                 bucket[1] = now
-                self.allowed += 1
                 retry_after = None
             else:
                 bucket[0] = tokens
                 bucket[1] = now
-                self.rejected += 1
                 retry_after = (1.0 - tokens) / self.rate
         if retry_after is not None:
+            self.counters.add(rejected=1)
             raise ServiceError(
                 429, "rate-limited",
                 f"tenant {tenant!r} exceeded {self.rate:g} requests/s "
@@ -830,17 +793,8 @@ class RateLimitMiddleware(Middleware):
                     "Retry-After": str(max(1, math.ceil(retry_after)))
                 },
             )
+        self.counters.add(allowed=1)
         return call_next(request)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "rate_per_s": self.rate,
-                "burst": self.burst,
-                "tenants": len(self._buckets),
-                "allowed": self.allowed,
-                "rejected": self.rejected,
-            }
 
 
 # ----------------------------------------------------------------------
@@ -899,9 +853,7 @@ class DeadlineMiddleware(Middleware):
     ) -> None:
         self.engine = engine
         self._clock = clock
-        self._lock = threading.Lock()
-        self.with_deadline = 0
-        self.expired = 0
+        self.counters = Counters(with_deadline=0, expired=0)
 
     def handle(self, request: Request, call_next: Handler) -> Response:
         raw = header_value(request, DEADLINE_HEADER)
@@ -921,8 +873,7 @@ class DeadlineMiddleware(Middleware):
         request.context["deadline"] = deadline
         request.context["deadline_ms"] = budget_ms
         request.context["deadline_clock"] = self._clock
-        with self._lock:
-            self.with_deadline += 1
+        self.counters.add(with_deadline=1)
 
         def overdue() -> bool:
             return self._clock() >= deadline
@@ -933,8 +884,7 @@ class DeadlineMiddleware(Middleware):
                     return call_next(request)
             return call_next(request)
         except EvaluationCancelled:
-            with self._lock:
-                self.expired += 1
+            self.counters.add(expired=1)
             raise ServiceError(
                 504, "deadline-exceeded",
                 "evaluation stopped between jobs: the request's "
@@ -944,16 +894,8 @@ class DeadlineMiddleware(Middleware):
             )
         except ServiceError as exc:
             if exc.code == "deadline-exceeded":
-                with self._lock:
-                    self.expired += 1
+                self.counters.add(expired=1)
             raise
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "with_deadline": self.with_deadline,
-                "expired": self.expired,
-            }
 
 
 class LoadShedMiddleware(Middleware):
@@ -985,25 +927,30 @@ class LoadShedMiddleware(Middleware):
         )
         self.exempt = frozenset(exempt)
         self.retry_after_s = int(retry_after_s)
+        # Admission state, not counters: the bound is checked and the
+        # depth raised in one step under the lock.
         self._lock = threading.Lock()
         self.in_flight = 0
         self.peak_in_flight = 0
-        self.shed = 0
+        self.counters = Counters(
+            max_in_flight=Gauge(lambda: self.max_in_flight),
+            in_flight=Gauge(lambda: self.in_flight),
+            peak_in_flight=Gauge(lambda: self.peak_in_flight),
+            shed=0,
+        )
 
     def handle(self, request: Request, call_next: Handler) -> Response:
         if self.max_in_flight is None or request.endpoint in self.exempt:
             return call_next(request)
         with self._lock:
-            if self.in_flight >= self.max_in_flight:
-                self.shed += 1
-                overloaded = True
-            else:
+            overloaded = self.in_flight >= self.max_in_flight
+            if not overloaded:
                 self.in_flight += 1
                 self.peak_in_flight = max(
                     self.peak_in_flight, self.in_flight
                 )
-                overloaded = False
         if overloaded:
+            self.counters.add(shed=1)
             raise ServiceError(
                 503, "overloaded",
                 f"{self.max_in_flight} requests already in flight on "
@@ -1016,15 +963,6 @@ class LoadShedMiddleware(Middleware):
         finally:
             with self._lock:
                 self.in_flight -= 1
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "max_in_flight": self.max_in_flight,
-                "in_flight": self.in_flight,
-                "peak_in_flight": self.peak_in_flight,
-                "shed": self.shed,
-            }
 
 
 # ----------------------------------------------------------------------
@@ -1210,8 +1148,9 @@ class ResponseCacheMiddleware(Middleware):
         self.on_hit = on_hit
         self._lock = threading.Lock()
         self._entries = BoundedLRU(max_entries)
-        self.hits = 0
-        self.misses = 0
+        self.counters = Counters(
+            entries=Gauge(lambda: len(self._entries)), hits=0, misses=0,
+        )
 
     def handle(self, request: Request, call_next: Handler) -> Response:
         if request.endpoint not in self.cacheable or (
@@ -1232,9 +1171,8 @@ class ResponseCacheMiddleware(Middleware):
         )
         with self._lock:
             hit = self._entries.touch(key)
-            if hit is not None:
-                self.hits += 1
         if hit is not None:
+            self.counters.add(hits=1)
             request.context["response_cache_hit"] = True
             # Fresh copies, body included: in-process callers receive
             # the response dict itself, and must not be able to mutate
@@ -1248,24 +1186,17 @@ class ResponseCacheMiddleware(Middleware):
                 headers=dict(hit.headers, **{"X-Response-Cache": "hit"}),
             )
         response = call_next(request)
-        with self._lock:
-            self.misses += 1
-            if response.ok:
-                self._entries.add(key, Response(
-                    status=response.status,
-                    body=copy.deepcopy(response.body),
-                    headers=dict(response.headers),
-                ))
+        self.counters.add(misses=1)
+        if response.ok:
+            stored = Response(
+                status=response.status,
+                body=copy.deepcopy(response.body),
+                headers=dict(response.headers),
+            )
+            with self._lock:
+                self._entries.add(key, stored)
         response.headers.setdefault("X-Response-Cache", "miss")
         return response
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
 
     def clear(self) -> None:
         with self._lock:

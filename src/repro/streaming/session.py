@@ -40,6 +40,7 @@ from ..geo import LatLon, SpatialGrid, cell_f1, haversine_m_arrays
 from ..lppm import LPPM
 from ..lru import BoundedLRU
 from ..mobility import Trace
+from ..obs import Counters, Gauge
 
 __all__ = ["ProtectionSession", "SessionManager"]
 
@@ -221,9 +222,9 @@ class SessionManager:
     a capacity bound (least-recently-updated sessions are evicted
     when ``max_sessions`` is exceeded) and an idle TTL (sessions not
     updated for ``idle_ttl_s`` are evicted opportunistically on any
-    update and on :meth:`stats`).  Every eviction — and every explicit
-    close and the final :meth:`close` — flushes the session's window
-    metrics first; with ``flush_dir`` set, flushed windows are also
+    update and whenever :attr:`counters` is read).  Every eviction —
+    and every explicit close and the final :meth:`close` — flushes the
+    session's window metrics first; with ``flush_dir`` set, flushed windows are also
     persisted as ``stream_flush`` records of the shared record store.
     """
 
@@ -256,10 +257,14 @@ class SessionManager:
         self._sessions = BoundedLRU(max_sessions)
         self._last_update: Dict[Tuple[str, str], float] = {}
         self._flush_counter = 0
-        self.sessions_opened = 0
-        self.updates_total = 0
-        self.evictions = 0
-        self.flushes = 0
+        #: The ``streaming`` section of ``/metrics``.
+        self.counters = Counters(
+            sessions_active=Gauge(self._n_active),
+            sessions_opened=0,
+            updates_total=0,
+            evictions=0,
+            flushes=0,
+        )
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -307,7 +312,7 @@ class SessionManager:
                 _, evicted = self._sessions.add(key, session)
                 for evicted_key, _ in evicted:
                     self._last_update.pop(evicted_key, None)
-                self.sessions_opened += 1
+                self.counters.add(sessions_opened=1)
             else:
                 self._check_config(session, lppm, user, seed, window_s)
                 self._sessions.touch(key)
@@ -317,8 +322,7 @@ class SessionManager:
         for evicted_key, evicted_session in evicted:
             self._flush(evicted_key, evicted_session)
         live = session.update(records)
-        with self._lock:
-            self.updates_total += len(live)
+        self.counters.add(updates_total=len(live))
         self.evict_idle()
         return session, live
 
@@ -388,10 +392,10 @@ class SessionManager:
 
     def _flush(self, key, session: ProtectionSession, evicted=True) -> dict:
         final = session.flush()
+        self.counters.add(flushes=1)
+        if evicted:
+            self.counters.add(evictions=1)
         with self._lock:
-            self.flushes += 1
-            if evicted:
-                self.evictions += 1
             self._flush_counter += 1
             counter = self._flush_counter
         if self._flushes is not None:
@@ -409,17 +413,10 @@ class SessionManager:
     # ------------------------------------------------------------------
     # Observability and shutdown
     # ------------------------------------------------------------------
-    def stats(self) -> dict:
-        """JSON-ready counters for ``GET /metrics``."""
+    def _n_active(self) -> int:
+        """Live sessions, once the idle ones are evicted."""
         self.evict_idle()
-        with self._lock:
-            return {
-                "sessions_active": len(self._sessions),
-                "sessions_opened": self.sessions_opened,
-                "updates_total": self.updates_total,
-                "evictions": self.evictions,
-                "flushes": self.flushes,
-            }
+        return len(self._sessions)
 
     def close(self) -> None:
         """Flush every live session and refuse further updates.

@@ -8,7 +8,7 @@ What the memoised analysis layer promises:
 * the cache survives concurrent jobs (thread-safe, no torn state);
 * the engine runs the actual-side POI pipeline **once per dataset per
   sweep**, whatever the number of configs, seeds and metrics — and
-  surfaces the counters through ``engine.stats`` and ``/metrics``.
+  surfaces the counters through ``engine.counters`` and ``/metrics``.
 """
 
 from __future__ import annotations
@@ -47,11 +47,11 @@ class TestCacheBasics:
         first = pois_of(trace, cache=cache)
         second = pois_of(trace, cache=cache)
         assert first is second  # the artifact object itself is shared
-        stats = cache.stats
+        stats = cache.counters.read()
         assert stats["hits"] >= 1
-        kind = cache.kind_stats()
-        assert kind["pois"]["misses"] == 1
-        assert kind["pois"]["hits"] == 1
+        kind = cache.by_kind.read()
+        assert kind["misses"]["pois"] == 1
+        assert kind["hits"]["pois"] == 1
 
     def test_config_change_invalidates(self):
         cache = AnalysisCache()
@@ -60,9 +60,9 @@ class TestCacheBasics:
         b = pois_of(
             trace, PoiExtractionConfig(merge_m=50.0), cache=cache
         )
-        assert cache.kind_stats()["pois"]["misses"] == 2
+        assert cache.by_kind["misses"]["pois"] == 2
         # Shared stay-point parameters reuse the stay-point artifact.
-        assert cache.kind_stats()["stay_points"]["misses"] == 1
+        assert cache.by_kind["misses"]["stay_points"] == 1
         assert a is not b
 
     def test_same_content_different_object_shares_entry(self):
@@ -79,16 +79,16 @@ class TestCacheBasics:
         cache = AnalysisCache(max_entries=4)
         for seed in range(8):
             stay_points_of(_trace(seed, n=60), cache=cache)
-        stats = cache.stats
+        stats = cache.counters.read()
         assert stats["entries"] <= 4
         assert stats["evictions"] == 4
         # The most recent artifact is still resident...
         stay_points_of(_trace(7, n=60), cache=cache)
-        assert cache.kind_stats()["stay_points"]["hits"] == 1
+        assert cache.by_kind["hits"]["stay_points"] == 1
         # ...and the oldest was evicted (recomputed = one more miss).
-        before = cache.kind_stats()["stay_points"]["misses"]
+        before = cache.by_kind["misses"]["stay_points"]
         stay_points_of(_trace(0, n=60), cache=cache)
-        assert cache.kind_stats()["stay_points"]["misses"] == before + 1
+        assert cache.by_kind["misses"]["stay_points"] == before + 1
 
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
@@ -109,7 +109,7 @@ class TestCacheBasics:
         assert len(cache) == 1
         cache.clear()
         assert len(cache) == 0
-        assert cache.stats["misses"] == 1
+        assert cache.counters["misses"] == 1
 
 
 class TestAmbientSelection:
@@ -169,10 +169,10 @@ class TestThreadSafety:
         # 8 threads x 4 traces = 32 requests; every request either hit
         # or was one of the racing computations, and the counters
         # reconcile exactly.
-        kind = cache.kind_stats()["pois"]
-        assert kind["hits"] + kind["misses"] == 32
-        assert kind["misses"] >= 4
-        assert cache.stats["entries"] <= cache.max_entries
+        kind = cache.by_kind.read()
+        assert kind["hits"]["pois"] + kind["misses"]["pois"] == 32
+        assert kind["misses"]["pois"] >= 4
+        assert cache.counters["entries"] <= cache.max_entries
 
 
 class TestEngineIntegration:
@@ -192,14 +192,14 @@ class TestEngineIntegration:
         engine, jobs = engine_and_jobs
         system = geo_ind_system()
         engine.run(system, taxi_dataset, jobs)
-        kind = engine.analysis.kind_stats()
+        kind = engine.analysis.by_kind.read()
         n_users = len(taxi_dataset)
         # One extraction per actual trace for the WHOLE sweep, plus one
         # per protected trace per distinct execution (the protected
         # side genuinely differs per (params, seed)).
         expected = n_users * (1 + len(jobs))
-        assert kind["stay_points"]["misses"] == expected
-        assert kind["pois"]["misses"] == expected
+        assert kind["misses"]["stay_points"] == expected
+        assert kind["misses"]["pois"] == expected
 
     def test_repeated_sweep_adds_no_analysis_work(
         self, taxi_dataset, engine_and_jobs
@@ -207,10 +207,10 @@ class TestEngineIntegration:
         engine, jobs = engine_and_jobs
         system = geo_ind_system()
         engine.run(system, taxi_dataset, jobs)
-        before = engine.analysis.stats
+        before = engine.analysis.counters.read()
         results = engine.run(system, taxi_dataset, jobs)
         assert all(r.cached for r in results)
-        after = engine.analysis.stats
+        after = engine.analysis.counters.read()
         assert after["misses"] == before["misses"]
         assert after["hits"] == before["hits"]
 
@@ -219,7 +219,7 @@ class TestEngineIntegration:
     ):
         engine, jobs = engine_and_jobs
         engine.run(geo_ind_system(), taxi_dataset, jobs[:1])
-        stats = engine.stats
+        stats = engine.counters.read()
         for key in ("analysis_hits", "analysis_misses", "analysis_entries",
                     "analysis_evictions", "analysis_max_entries"):
             assert key in stats
@@ -232,7 +232,7 @@ class TestEngineIntegration:
         assert a.analysis is not b.analysis
         job = [EvalJob.make({"epsilon": 0.01}, seed=0)]
         a.run(geo_ind_system(), taxi_dataset, job)
-        assert b.analysis.stats["misses"] == 0
+        assert b.analysis.counters["misses"] == 0
 
 
 class TestServiceExposure:

@@ -80,8 +80,10 @@ class TestRoundTrip:
         fresh = AnalysisCache(spill_dir=tmp_path)
         loaded = stay_points_of(_seeded(fresh, _trace(0)), cache=fresh)
         assert loaded == computed  # dataclass equality: exact floats
-        assert fresh.kind_stats()["stay_points"]["misses"] == 0
-        assert fresh.stats["spill_hits"] == 1
+        kind = fresh.by_kind.read()
+        assert "stay_points" in kind["hits"]
+        assert "stay_points" not in kind["misses"]
+        assert fresh.counters["spill_hits"] == 1
 
     def test_pois_exact(self, tmp_path):
         warm = AnalysisCache(spill_dir=tmp_path)
@@ -93,9 +95,9 @@ class TestRoundTrip:
         assert loaded == computed
         # The layered stay-point artifact was served from the spill
         # too: nothing in the POI pipeline was recomputed.
-        kind = fresh.kind_stats()
-        assert kind["pois"]["misses"] == 0
-        assert kind["stay_points"]["misses"] == 0
+        kind = fresh.by_kind.read()
+        assert {"pois", "stay_points"} <= set(kind["hits"])
+        assert not {"pois", "stay_points"} & set(kind["misses"])
 
     def test_visit_counts_exact(self, tmp_path):
         grid = SpatialGrid.around(LatLon(48.85, 2.35), cell_size_m=150.0)
@@ -110,7 +112,9 @@ class TestRoundTrip:
             isinstance(cell, tuple) and isinstance(n, int)
             for cell, n in loaded
         )
-        assert fresh.kind_stats()["visit_counts"]["misses"] == 0
+        kind = fresh.by_kind.read()
+        assert "visit_counts" in kind["hits"]
+        assert "visit_counts" not in kind["misses"]
 
     def test_hashed_keys_stay_in_memory(self, tmp_path):
         warm = AnalysisCache(spill_dir=tmp_path)
@@ -123,8 +127,8 @@ class TestRoundTrip:
 
         fresh = AnalysisCache(spill_dir=tmp_path)
         assert pois_of(_clone(_trace(5)), cache=fresh) == computed
-        assert fresh.kind_stats()["stay_points"]["misses"] == 1
-        assert fresh.stats["spill_hits"] == 0
+        assert fresh.by_kind["misses"]["stay_points"] == 1
+        assert fresh.counters["spill_hits"] == 0
 
 
 class TestSpillHygiene:
@@ -141,7 +145,7 @@ class TestSpillHygiene:
         fresh = AnalysisCache(spill_dir=tmp_path)
         recomputed = stay_points_of(_seeded(fresh, _trace(3)), cache=fresh)
         assert recomputed == computed
-        assert fresh.kind_stats()["stay_points"]["misses"] == 1
+        assert fresh.by_kind["misses"]["stay_points"] == 1
         assert path.with_name(path.name + ".corrupt").exists()
         # The recompute wrote through again: the record is healed and
         # the *next* fresh process loads it without recomputing.
@@ -195,7 +199,7 @@ class TestEngineIntegration:
         ]
         first = EvaluationEngine(engine="serial", cache_dir=tmp_path)
         results = first.run(system, taxi_dataset, jobs)
-        assert first.analysis.stats["misses"] > 0
+        assert first.analysis.counters["misses"] > 0
 
         # A "fresh process": no disk result cache (so every evaluation
         # really re-executes), but the analysis spill of the first
@@ -215,10 +219,10 @@ class TestEngineIntegration:
             if pois_of(trace, cache=AnalysisCache())
         )
         assert with_pois > 0
-        kind = fresh.analysis.kind_stats()
-        assert kind["stay_points"]["misses"] == len(jobs) * with_pois
-        assert kind["pois"]["misses"] == len(jobs) * with_pois
-        assert fresh.analysis.stats["spill_hits"] > 0
+        kind = fresh.analysis.by_kind.read()
+        assert kind["misses"]["stay_points"] == len(jobs) * with_pois
+        assert kind["misses"]["pois"] == len(jobs) * with_pois
+        assert fresh.analysis.counters["spill_hits"] > 0
 
     def test_cache_dir_engine_spills_automatically(
         self, taxi_dataset, tmp_path
@@ -255,4 +259,4 @@ class TestEngineIntegration:
             geo_ind_system(), taxi_dataset,
             [EvalJob.make({"epsilon": 0.01}, seed=0)],
         )
-        assert engine.analysis.stats["spill_hits"] == 0
+        assert engine.analysis.counters["spill_hits"] == 0

@@ -142,13 +142,13 @@ class TestResultCache:
         assert _lookup(cache, "fp") is None
         _store(cache, "fp", 0.1, 0.9)
         assert _lookup(cache, "fp") == (0.1, 0.9)
-        assert cache.memory_hits == 1 and cache.misses == 1
+        assert cache.counters["memory_hits"] == 1 and cache.counters["misses"] == 1
 
     def test_disk_tier_survives_new_instance(self, tmp_path):
         _store(ResultCache(tmp_path), "ab" + "0" * 62, 0.25, 0.75)
         fresh = ResultCache(tmp_path)
         assert _lookup(fresh, "ab" + "0" * 62) == (0.25, 0.75)
-        assert fresh.disk_hits == 1
+        assert fresh.counters["disk_hits"] == 1
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         fp = "cd" + "0" * 62

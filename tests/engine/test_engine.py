@@ -124,7 +124,7 @@ class TestCaching:
         warm_sweep, warm_runner = _sweep(warm, fleet)
         assert warm_runner.n_evaluations == 0
         assert warm.n_executions == 0
-        assert warm.stats["disk_hits"] == 8
+        assert warm.counters["disk_hits"] == 8
 
         cold_sweep, _ = _sweep(EvaluationEngine(), fleet)
         _assert_bit_identical(cold_sweep, warm_sweep)
@@ -145,7 +145,7 @@ class TestCaching:
         assert len({(r.privacy, r.utility) for r in results}) == 1
         # Accounting reconciles: the three requests were one distinct
         # piece of work, counted as one miss and one execution.
-        assert engine.stats["misses"] == 1
+        assert engine.counters["misses"] == 1
 
     def test_cache_does_not_leak_across_mechanisms(self, fleet):
         # Same system name and metrics, different LPPM factory: the

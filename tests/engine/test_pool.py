@@ -28,8 +28,8 @@ from repro import (
 )
 from repro.engine import EvalJob, EvaluationCancelled, ProcessPoolBackend
 from repro.resilience import (
+    EVENT_COUNTS,
     default_injector,
-    events_by_kind,
     recent_events,
     reset_events,
 )
@@ -187,7 +187,7 @@ class TestCrashReplay:
             engine.run(system, fleet, _jobs(10))
             assert backend.pools_built == 2
         assert _values(crashed) == _values(reference)
-        assert events_by_kind().get("pool.rebuilt") == 1
+        assert EVENT_COUNTS.read().get("pool.rebuilt") == 1
 
     def test_second_crash_falls_back_to_serial(self, fleet):
         system = geo_ind_system()
@@ -199,7 +199,7 @@ class TestCrashReplay:
             assert (backend.pool_rebuilds, backend.serial_fallbacks) == (1, 1)
             assert engine.n_executions == 8
         assert _values(degraded) == _values(reference)
-        assert events_by_kind().get("pool.serial-fallback") == 1
+        assert EVENT_COUNTS.read().get("pool.serial-fallback") == 1
 
 
 class TestCancellation:

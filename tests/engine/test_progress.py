@@ -223,7 +223,7 @@ class TestChunkedParity:
         # The shared grid executed at most once per (point, seed); the
         # race window allows a duplicated execution but never a wrong
         # value, and the cache holds exactly the distinct jobs.
-        assert engine.cache.stats["entries"] == 4
+        assert engine.cache.counters["entries"] == 4
 
     def test_concurrent_identical_batches_execute_once(self, system, fleet):
         """A batch that queued behind the backend lease re-probes the

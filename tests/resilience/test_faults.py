@@ -15,8 +15,8 @@ from repro.resilience import (
     BreakerRegistry,
     CircuitBreaker,
     FaultInjector,
+    EVENT_COUNTS,
     default_injector,
-    events_by_kind,
     fire,
     write_guarded,
 )
@@ -83,7 +83,7 @@ class TestFaultInjector:
         injector = FaultInjector()
         injector.configure("disk.write:3,handler.slow:*:0.1")
         injector.fire("disk.write")
-        snap = injector.snapshot()
+        snap = injector.counters.read()
         assert snap["active"] is True
         assert snap["armed"] == {"disk.write": 2, "handler.slow": "*"}
         assert snap["fired"] == {"disk.write": 1}
@@ -146,7 +146,7 @@ class TestCircuitBreaker:
         breaker.record_failure()
         assert breaker.allow() is True
         breaker.record_success()
-        kinds = events_by_kind()
+        kinds = EVENT_COUNTS.read()
         assert kinds.get("breaker.open") == 1
         assert kinds.get("breaker.closed") == 1
 
@@ -165,7 +165,7 @@ class TestWriteGuarded:
         )
         assert ok is True
         assert read_eval_record(target)["privacy"] == 1.0
-        assert registry.breaker("tier").snapshot()["successes"] == 1
+        assert registry.breaker("tier").counters["successes"] == 1
 
     def test_oserror_is_a_recorded_miss(self, tmp_path):
         registry = BreakerRegistry(failure_threshold=2)
@@ -196,7 +196,10 @@ class TestWriteGuarded:
     def test_registry_snapshot_shape(self):
         registry = BreakerRegistry()
         registry.breaker("a").record_failure()
-        snap = registry.snapshot()
+        snap = {
+            tier: breaker.counters.read()
+            for tier, breaker in registry.breakers().items()
+        }
         assert snap["a"]["failures"] == 1
         assert snap["a"]["state"] == "closed"
 

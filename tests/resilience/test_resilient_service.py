@@ -72,12 +72,12 @@ class TestDeadlines:
         )
         assert response.status == 200
         assert len(response.body["points"]) == 2
-        snap = client.service.deadline.snapshot()
+        snap = client.service.deadline.counters.read()
         assert snap["with_deadline"] >= 1
 
     def test_deadlineless_requests_skip_the_machinery(self, client):
         assert client.healthz()["status"] == "ok"
-        assert client.service.deadline.snapshot()["with_deadline"] == 0
+        assert client.service.deadline.counters.read()["with_deadline"] == 0
 
 
 class TestLoadShedding:
@@ -95,7 +95,7 @@ class TestLoadShedding:
             # Wait until the slow request really is in flight.
             deadline = time.monotonic() + 2.0
             while time.monotonic() < deadline:
-                if service.load_shed.snapshot()["in_flight"] >= 1:
+                if service.load_shed.counters.read()["in_flight"] >= 1:
                     break
                 time.sleep(0.01)
             shed = service.handle("GET", "/datasets")
@@ -106,7 +106,7 @@ class TestLoadShedding:
         assert shed.body["error"]["code"] == "overloaded"
         assert shed.headers["Retry-After"] == "1"
         assert first["response"].status == 200
-        assert service.load_shed.snapshot()["shed"] == 1
+        assert service.load_shed.counters.read()["shed"] == 1
 
     def test_probes_are_never_shed(self):
         service = ConfigService(workers=1, max_in_flight=1)
@@ -125,7 +125,7 @@ class TestLoadShedding:
 
     def test_disabled_shedder_stays_in_pipeline(self, client):
         assert "load_shed" in client.metrics()["pipeline"]
-        snap = client.service.load_shed.snapshot()
+        snap = client.service.load_shed.counters.read()
         assert snap["max_in_flight"] is None
         assert snap["shed"] == 0
 

@@ -173,7 +173,7 @@ class TestRegistry:
         first = registry.resolve("taxi", users=2, seed=3)
         second = registry.resolve("taxi", n_cabs=2, seed=3)
         assert second is first
-        stats = registry.cache_stats()
+        stats = registry.counters.read()
         assert stats == {
             "entries": 1, "capacity": 8, "hits": 1, "misses": 1,
         }
@@ -186,7 +186,7 @@ class TestRegistry:
         assert registry.resolve("taxi", users=2, seed=0) is a
         registry.resolve("taxi", users=2, seed=2)
         assert registry.resolve("taxi", users=2, seed=0) is a
-        assert registry.cache_stats()["entries"] == 2
+        assert registry.counters.read()["entries"] == 2
 
     def test_overrides_resolve_through_base_spec(self):
         registry = ScenarioRegistry()
@@ -199,7 +199,7 @@ class TestRegistry:
         registry = ScenarioRegistry()
         registry.resolve("taxi", users=2, seed=0)
         registry.clear_cache()
-        assert registry.cache_stats()["entries"] == 0
+        assert registry.counters.read()["entries"] == 0
         assert "taxi" in registry
 
     def test_file_backed_scenario_rereads_after_edit(self, tmp_path):

@@ -122,7 +122,7 @@ class TestAnonymousMode:
             alice = ServiceClient(svc, api_key=ALICE_KEY)
             assert anon.datasets()["tenant"] == ANONYMOUS_TENANT
             assert alice.datasets()["tenant"] == "alice"
-            snapshot = svc.auth.snapshot()
+            snapshot = svc.auth.counters.read()
             assert snapshot["anonymous"] == 1
             assert snapshot["authenticated"] == 1
         finally:
@@ -235,11 +235,11 @@ class TestTenantIsolation:
         body_points = dict(points=3, replications=1)
         alice.sweep(TAXI, **body_points)
         bob.sweep(TAXI, **body_points)
-        snapshot = service.response_cache.snapshot()
+        snapshot = service.response_cache.counters.read()
         # Identical bodies, different tenants: two entries, zero hits.
         assert snapshot == {"entries": 2, "hits": 0, "misses": 2}
         alice.sweep(TAXI, **body_points)
-        assert service.response_cache.snapshot()["hits"] == 1
+        assert service.response_cache.counters.read()["hits"] == 1
 
     def test_tenant_count_in_metrics(self, alice, bob):
         alice.register_dataset("a", "taxi", {"users": 2, "seed": 1})
@@ -282,4 +282,4 @@ class TestJobTenancy:
         alice.wait(alice.submit("sweep", body)["job_id"], timeout_s=120)
         # The sync repeat replays the job's cached response.
         alice.sweep(TAXI, points=3, replications=1)
-        assert service.response_cache.snapshot()["hits"] == 1
+        assert service.response_cache.counters.read()["hits"] == 1

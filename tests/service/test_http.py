@@ -66,7 +66,7 @@ class TestHttpRoundTrip:
 
     def test_malformed_json_is_typed_400(self, http_service):
         base_url, app = http_service
-        before = app.metrics.snapshot()
+        before = app.metrics.counters.read()
         request = urllib.request.Request(
             base_url + "/sweep", data=b"{not json",
             headers={"Content-Type": "application/json"},
@@ -78,7 +78,7 @@ class TestHttpRoundTrip:
         payload = json.loads(excinfo.value.read().decode("utf-8"))
         assert payload["error"]["code"] == "invalid-json"
         # The parse failure went through the pipeline: it is counted.
-        after = app.metrics.snapshot()
+        after = app.metrics.counters.read()
         assert after["requests_total"] == before["requests_total"] + 1
         assert after["responses_by_status"].get("400", 0) == \
             before["responses_by_status"].get("400", 0) + 1

@@ -301,7 +301,7 @@ class TestTTL:
             with pytest.raises(ServiceError) as excinfo:
                 manager.get(job.id)
             assert excinfo.value.code == "job-not-found"
-            assert manager.stats()["tracked"] == 0
+            assert manager.counters.read()["tracked"] == 0
         finally:
             manager.close(grace_s=5)
 

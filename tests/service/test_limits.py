@@ -169,7 +169,7 @@ class TestTokenBucket:
         with ServiceClient(ConfigService()) as client:
             for _ in range(50):
                 client.datasets()
-            snapshot = client.service.rate_limit.snapshot()
+            snapshot = client.service.rate_limit.counters.read()
             assert snapshot["rate_per_s"] is None
             assert snapshot["rejected"] == 0
 
@@ -249,7 +249,7 @@ class TestJobQuota:
     def test_quota_is_reported_in_stats(self):
         svc = ConfigService(max_jobs_per_tenant=4)
         try:
-            assert svc.jobs.stats()["max_jobs_per_tenant"] == 4
+            assert svc.jobs.counters.read()["max_jobs_per_tenant"] == 4
         finally:
             svc.close()
 
@@ -310,7 +310,7 @@ class TestConcurrentLimiting:
 
             assert counts["alice"] == {"ok": 20, "limited": 20}
             assert counts["bob"] == {"ok": 20, "limited": 20}
-            snapshot = svc.rate_limit.snapshot()
+            snapshot = svc.rate_limit.counters.read()
             assert snapshot["allowed"] == 40
             assert snapshot["rejected"] == 40
             assert snapshot["tenants"] == 2
@@ -373,7 +373,7 @@ class TestGzip:
 
     def test_compression_counters(self, service):
         self._protect(service, **{"Accept-Encoding": "gzip"})
-        snapshot = service.compression.snapshot()
+        snapshot = service.compression.counters.read()
         assert snapshot["responses_compressed"] == 1
         assert snapshot["bytes_saved"] > 0
         assert snapshot["bytes_out"] < snapshot["bytes_in"]
@@ -458,7 +458,7 @@ class TestCacheSafety:
             # neither Alice's 429 nor her cached result.
             second = bob.sweep(TAXI, points=3, replications=1)
             assert len(second["points"]) == 3
-            snapshot = svc.response_cache.snapshot()
+            snapshot = svc.response_cache.counters.read()
             assert snapshot["hits"] == 0
             assert snapshot["entries"] == 2
         finally:
@@ -471,6 +471,6 @@ class TestCacheSafety:
                     client.sweep({"scenario": "missing"},
                                  points=3, replications=1)
                 assert excinfo.value.status == 404
-            snapshot = client.service.response_cache.snapshot()
+            snapshot = client.service.response_cache.counters.read()
             assert snapshot["entries"] == 0
             assert snapshot["hits"] == 0

@@ -106,7 +106,7 @@ class TestMetrics:
         pipeline(Request("GET", "/a"), ok_handler)
         pipeline(Request("POST", "/b"),
                  lambda r: Response(status=404, body={}))
-        snap = metrics.snapshot()
+        snap = metrics.counters.read()
         assert snap["requests_total"] == 3
         assert snap["requests_by_endpoint"] == {"GET /a": 2, "POST /b": 1}
         assert snap["responses_by_status"] == {"200": 2, "404": 1}
@@ -118,7 +118,7 @@ class TestMetrics:
         pipeline = MiddlewarePipeline([metrics, cache])
         pipeline(Request("GET", "/a"), ok_handler)
         pipeline(Request("GET", "/a"), ok_handler)
-        assert metrics.snapshot()["response_cache_hits"] == 1
+        assert metrics.counters.read()["response_cache_hits"] == 1
 
 
 class TestErrorBoundary:
@@ -220,7 +220,7 @@ class TestResponseCache:
         pipeline(Request("POST", "/b", body={"x": 1}), handler)
         pipeline(Request("POST", "/b", body={"x": 1}), handler)
         assert len(calls) == 3  # /a answered once from cache
-        assert cache.snapshot() == {"entries": 1, "hits": 1, "misses": 1}
+        assert cache.counters.read() == {"entries": 1, "hits": 1, "misses": 1}
 
     def test_key_is_order_insensitive(self):
         assert canonical_body_key("POST /a", {"x": 1, "y": 2}) == \
@@ -252,7 +252,7 @@ class TestResponseCache:
         pipeline = MiddlewarePipeline([cache])
         for i in range(3):
             pipeline(Request("POST", "/a", body={"i": i}), ok_handler)
-        assert cache.snapshot()["entries"] == 2
+        assert cache.counters.read()["entries"] == 2
         # Entry 0 was evicted; entry 2 is still warm.
         calls = []
         handler = lambda r: calls.append(1) or ok_handler(r)
@@ -273,7 +273,7 @@ class TestResponseCache:
             hot = pipeline(Request("POST", "/a", body={"i": "hot"}), handler)
             assert hot.headers["X-Response-Cache"] == "hit"
         assert calls == ["hot", 0, 1, 2, 3]
-        assert cache.snapshot()["entries"] == 2
+        assert cache.counters.read()["entries"] == 2
 
     def test_cached_body_immune_to_caller_mutation(self):
         cache = ResponseCacheMiddleware(["POST /a"])

@@ -173,7 +173,7 @@ class TestSessionManager:
         assert manager.get("t", "c")
         with pytest.raises(KeyError):
             manager.get("t", "b")
-        assert manager.stats()["evictions"] == 1
+        assert manager.counters.read()["evictions"] == 1
 
     def test_idle_eviction_uses_injected_clock(self):
         clock = FakeClock()
@@ -187,7 +187,7 @@ class TestSessionManager:
         with pytest.raises(KeyError):
             manager.get("t", "old")
         assert manager.get("t", "fresh")
-        stats = manager.stats()
+        stats = manager.counters.read()
         assert stats["sessions_active"] == 1
         assert stats["evictions"] == 1
 
@@ -196,7 +196,7 @@ class TestSessionManager:
         lppm = GeoIndistinguishability(0.05)
         manager.update("t", "a", _records(3), lppm=lppm)
         manager.update("t", "b", _records(4), lppm=lppm)
-        stats = manager.stats()
+        stats = manager.counters.read()
         assert stats["sessions_active"] == 2
         assert stats["sessions_opened"] == 2
         assert stats["updates_total"] == 7
@@ -228,8 +228,8 @@ class TestSessionManager:
         manager.close()
         manager.close()  # idempotent
         assert len(list(Path(tmp_path).glob("flush-*.json"))) == 2
-        assert manager.stats()["sessions_active"] == 0
-        assert manager.stats()["flushes"] == 2
+        assert manager.counters.read()["sessions_active"] == 0
+        assert manager.counters.read()["flushes"] == 2
         with pytest.raises(RuntimeError, match="closed"):
             manager.update("t", "c", _records(1), lppm=lppm)
 
