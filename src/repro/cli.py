@@ -60,12 +60,6 @@ from .report import (
     sweep_table,
 )
 from .scenarios import SCENARIO_KINDS, ScenarioSpec, default_registry
-from .synth import (
-    CommuterConfig,
-    TaxiFleetConfig,
-    generate_commuters,
-    generate_taxi_fleet,
-)
 
 __all__ = ["main", "build_parser"]
 
@@ -391,10 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.workload == "taxi":
-        dataset = generate_taxi_fleet(TaxiFleetConfig(n_cabs=args.users, seed=args.seed))
-    else:
-        dataset = generate_commuters(CommuterConfig(n_users=args.users, seed=args.seed))
+    dataset = ScenarioSpec.make(
+        args.workload, args.workload, {"users": args.users, "seed": args.seed}
+    ).resolve()
     write_csv(dataset, args.output)
     print(f"wrote {dataset.n_records} records for {len(dataset)} users to {args.output}")
     return 0

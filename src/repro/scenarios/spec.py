@@ -28,9 +28,11 @@ import hashlib
 import json
 import os
 import re
+import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
+from ..lru import BoundedLRU
 from ..mobility import Dataset, read_cabspotting, read_csv, read_geolife
 from ..synth import (
     CommuterConfig,
@@ -56,15 +58,26 @@ class _SynthKind:
     users_field: str
 
 
-#: Synthetic scenario kinds, by name.
+#: Synthetic scenario kinds, by name.  Each generator is called through
+#: its module-level name, looked up at call time, so a profiler that
+#: rebinds ``generate_taxi_fleet`` in the modules importing it sees
+#: every scenario resolution too.
 SYNTH_KINDS: Dict[str, _SynthKind] = {
-    "taxi": _SynthKind(TaxiFleetConfig, generate_taxi_fleet, "n_cabs"),
-    "commuters": _SynthKind(CommuterConfig, generate_commuters, "n_users"),
+    "taxi": _SynthKind(
+        TaxiFleetConfig, lambda config: generate_taxi_fleet(config),
+        "n_cabs",
+    ),
+    "commuters": _SynthKind(
+        CommuterConfig, lambda config: generate_commuters(config),
+        "n_users",
+    ),
     "random_waypoint": _SynthKind(
-        RandomWaypointConfig, generate_random_waypoint, "n_users"
+        RandomWaypointConfig,
+        lambda config: generate_random_waypoint(config), "n_users",
     ),
     "levy_flight": _SynthKind(
-        LevyFlightConfig, generate_levy_flight, "n_users"
+        LevyFlightConfig, lambda config: generate_levy_flight(config),
+        "n_users",
     ),
 }
 
@@ -81,6 +94,10 @@ SCENARIO_KINDS: Tuple[str, ...] = tuple(
 )
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+
+#: Memoised synthetic fingerprints, by ``(kind, repr(params))``.
+_SYNTH_FINGERPRINTS = BoundedLRU(1024)
+_SYNTH_FINGERPRINTS_LOCK = threading.Lock()
 
 
 def _config_params(kind: str, params: Mapping[str, object]) -> dict:
@@ -230,20 +247,39 @@ class ScenarioSpec:
         Synthetic kinds hash the fully-defaulted generator config (the
         generators are deterministic in it); file-backed kinds hash the
         absolute path pinned to the file tree's current mtime and size,
-        so an edited file yields a new fingerprint — exactly the
-        staleness rule the service applies to ``path`` dataset specs.
-        Raises :class:`FileNotFoundError` for a missing file.
+        so an edited file yields a new fingerprint — the service's one
+        staleness rule, ``path`` dataset specs included.  Raises
+        :class:`FileNotFoundError` for a missing file.
+
+        A synthetic fingerprint is a pure function of the kind and the
+        params, so it is memoised (the service fingerprints one spec
+        per request); file-backed kinds re-stat every time.
         """
+        memo_key = None
+        if not self.is_file_backed:
+            # repr, not the params tuple: 1, 1.0 and True hash alike.
+            memo_key = (self.kind, repr(self.params))
+            with _SYNTH_FINGERPRINTS_LOCK:
+                memoised = _SYNTH_FINGERPRINTS.touch(memo_key)
+            if memoised is not None:
+                return memoised
         payload: dict = {
             "kind": self.kind,
             "params": self._canonical_params(),
         }
         if self.is_file_backed:
-            payload["file"] = _file_identity(payload["params"]["path"])
+            # A csv is one file: never walk a directory named as one.
+            payload["file"] = _file_identity(
+                payload["params"]["path"], tree=self.kind != "csv"
+            )
         canonical = json.dumps(
             payload, sort_keys=True, separators=(",", ":"), default=str
         )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        fingerprint = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        if memo_key is not None:
+            with _SYNTH_FINGERPRINTS_LOCK:
+                _SYNTH_FINGERPRINTS.add(memo_key, fingerprint)
+        return fingerprint
 
     def resolve(self) -> Dataset:
         """Build (or read) the dataset this spec describes."""
@@ -255,13 +291,14 @@ class ScenarioSpec:
         )
 
 
-def _file_identity(path: str) -> dict:
+def _file_identity(path: str, tree: bool = True) -> dict:
     """mtime/size pin of a file or directory tree (GeoLife, Cabspotting).
 
     Directory formats hash every regular file under the root, so adding
     a cab file or appending to a PLT invalidates old fingerprints.
+    ``tree=False`` pins ``path`` itself even when it is a directory.
     """
-    if os.path.isdir(path):
+    if tree and os.path.isdir(path):
         entries = []
         for dirpath, dirnames, filenames in os.walk(path):
             dirnames.sort()

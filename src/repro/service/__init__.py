@@ -48,7 +48,7 @@ from .middleware import (
     header_value,
     validate_body,
 )
-from .state import ServiceState, resolve_dataset_spec, resolve_scenario_spec
+from .state import ServiceState, resolve_dataset_spec
 
 __all__ = [
     # app
@@ -91,7 +91,6 @@ __all__ = [
     # state & handlers
     "ServiceState",
     "resolve_dataset_spec",
-    "resolve_scenario_spec",
     "SCHEMAS",
     "make_handlers",
     "make_job_handlers",

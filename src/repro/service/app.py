@@ -33,7 +33,9 @@ import copy
 import json
 import logging
 import os
+import shutil
 import signal
+import tempfile
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -42,7 +44,7 @@ from typing import Callable, Dict, Optional
 
 from ..engine import EvaluationEngine
 from ..framework import geo_ind_system
-from .handlers import SCHEMAS, make_handlers, make_job_handlers
+from .handlers import SCHEMAS, make_handlers, make_job_handlers, tenant_of
 from .jobs import JOB_ENDPOINTS, Job, JobManager
 from ..resilience import (
     EVENT_COUNTS,
@@ -69,7 +71,7 @@ from .middleware import (
     ServiceError,
     ValidationMiddleware,
 )
-from .state import ServiceState, normalised_dataset_spec
+from .state import ServiceState
 
 __all__ = ["ConfigService", "CACHEABLE_ENDPOINTS", "serve"]
 
@@ -199,7 +201,6 @@ class ConfigService:
         self.response_cache = ResponseCacheMiddleware(
             CACHEABLE_ENDPOINTS,
             max_entries=response_cache_size,
-            should_cache=self._replayable,
             key_body=self._cache_key_body,
             on_hit=self._refresh_hit_body,
         )
@@ -245,71 +246,22 @@ class ConfigService:
         ])
         self._entry = self.pipeline.wrap(self._route)
 
-    def _replayable(self, request: Request) -> bool:
-        """Whether a request's response really is a pure function of its body.
-
-        Dataset specs naming a server-side file are not: the file can
-        change between requests (the dataset registry re-reads it when
-        it does), so those requests bypass the response cache.  The
-        same goes for *file-backed* scenarios; synthetic scenarios are
-        deterministic in their fingerprint and cache normally.
-        """
-        body = request.body if isinstance(request.body, dict) else {}
-        dataset = body.get("dataset")
-        if not isinstance(dataset, dict):
-            return True
-        if "path" in dataset:
-            return False
-        name = dataset.get("scenario")
-        if name is not None:
-            if not isinstance(name, str):
-                return False
-            tenant = request.context.get("tenant")
-            registry = self.state.scenarios_for(
-                str(tenant) if tenant is not None else None
-            )
-            try:
-                spec = registry.get(name)
-            except KeyError:
-                # Unknown scenario: the handler will 404; nothing to
-                # cache either way.
-                return False
-            return not spec.is_file_backed
-        return True
-
     def _cache_key_body(self, request: Request) -> Optional[dict]:
-        """The body as keyed by the response cache: dataset defaults filled.
+        """The body as the response cache keys it, or ``None`` to bypass.
 
-        Validation already filled the top-level defaults; the nested
-        dataset spec gets the same treatment here so that equivalent
-        spellings of one workload share a cache entry.  Scenario specs
-        are keyed by their merged content fingerprint — resolved in the
-        *requesting tenant's* registry, so one tenant's scenario name
-        never keys (or replays) another's — and re-registering a name
-        under a different spec changes the key, so a replayed response
-        can never describe the scenario's previous meaning.
+        The dataset spec is replaced by its identity key (tenant folded
+        in), so every spelling of one dataset shares an entry and a
+        re-registered scenario name keys afresh.  File-backed datasets
+        bypass — the file may change between requests — as do specs
+        that fail to resolve (the handler raises the same typed error).
         """
-        body = request.body
-        if isinstance(body, dict) and isinstance(body.get("dataset"), dict):
-            dataset = body["dataset"]
-            if "scenario" in dataset:
-                tenant = request.context.get("tenant")
-                try:
-                    return dict(
-                        body,
-                        dataset=self.state.scenario_key_spec(
-                            dataset,
-                            tenant=(
-                                str(tenant) if tenant is not None else None
-                            ),
-                        ),
-                    )
-                except ServiceError:
-                    # Malformed/unknown scenario: key on the raw spec;
-                    # the handler's error is never cached (non-2xx).
-                    return body
-            return dict(body, dataset=normalised_dataset_spec(dataset))
-        return body
+        try:
+            key, file_backed, _ = self.state.dataset_identity(
+                request.body["dataset"], tenant=tenant_of(request)
+            )
+        except ServiceError:
+            return None
+        return None if file_backed else dict(request.body, dataset=key)
 
     def _refresh_hit_body(self, body: dict) -> dict:
         """Fix up a replayed response body for its new request.
@@ -712,49 +664,50 @@ def serve(
         # must fault the whole tree, not just the supervisor.
         os.environ[_FAULT_SPEC_ENV] = fault_spec
         default_injector().configure(fault_spec)
+
+    def make_service() -> ConfigService:
+        return ConfigService(
+            engine=engine, workers=workers, job_ttl_s=job_ttl_s,
+            api_keys=api_keys, allow_anonymous=allow_anonymous,
+            rate_limit_rps=rate_limit_rps,
+            rate_limit_burst=rate_limit_burst,
+            max_jobs_per_tenant=max_jobs_per_tenant,
+            shared_dir=shared_dir,
+            max_in_flight=max_in_flight,
+        )
+
     if processes > 1:
         if service is not None:
             raise ValueError(
                 "processes > 1 forks fresh workers and cannot adopt a "
                 "pre-built service instance"
             )
+        from .prefork import serve_prefork
+
+        temporary = None
         if shared_dir is None:
             # Without a shared directory the workers would be islands:
             # no cross-worker cache hits, and /jobs/<id> polls landing
             # on the wrong worker would 404.  Provision a temporary one
-            # as a safety net (the CLI normally supplies a real path).
-            import tempfile
-
-            shared_dir = tempfile.mkdtemp(prefix="repro-lppm-shared-")
+            # as a safety net (the CLI normally supplies a real path);
+            # make_service reads it late, and it goes when the fleet
+            # stops (workers leave through os._exit, never this block).
+            shared_dir = temporary = tempfile.mkdtemp(
+                prefix="repro-lppm-shared-"
+            )
             logger.warning(
                 "prefork mode without --cache-dir: using temporary "
                 "shared state in %s", shared_dir,
             )
-        from .prefork import serve_prefork
-
-        def make_service() -> ConfigService:
-            return ConfigService(
-                engine=engine, workers=workers, job_ttl_s=job_ttl_s,
-                api_keys=api_keys, allow_anonymous=allow_anonymous,
-                rate_limit_rps=rate_limit_rps,
-                rate_limit_burst=rate_limit_burst,
-                max_jobs_per_tenant=max_jobs_per_tenant,
-                shared_dir=shared_dir,
-                max_in_flight=max_in_flight,
+        try:
+            return serve_prefork(
+                host=host, port=port, make_service=make_service,
+                processes=processes, grace_s=grace_s, ready=ready,
             )
-
-        return serve_prefork(
-            host=host, port=port, make_service=make_service,
-            processes=processes, grace_s=grace_s, ready=ready,
-        )
-    app = service if service is not None else ConfigService(
-        engine=engine, workers=workers, job_ttl_s=job_ttl_s,
-        api_keys=api_keys, allow_anonymous=allow_anonymous,
-        rate_limit_rps=rate_limit_rps, rate_limit_burst=rate_limit_burst,
-        max_jobs_per_tenant=max_jobs_per_tenant,
-        shared_dir=shared_dir,
-        max_in_flight=max_in_flight,
-    )
+        finally:
+            if temporary is not None:
+                shutil.rmtree(temporary, ignore_errors=True)
+    app = service if service is not None else make_service()
     server = app.make_server(host, port)
     bound_host, bound_port = server.server_address[:2]
     logger.info("serving on http://%s:%d", bound_host, bound_port)

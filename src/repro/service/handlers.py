@@ -52,6 +52,13 @@ def tenant_of(request: Request) -> str:
     return str(tenant) if tenant else ANONYMOUS_TENANT
 
 
+#: The body every sweep-backed endpoint shares.
+_SWEEP_FIELDS: Dict[str, Field] = {
+    "dataset": Field(type=dict, required=True),
+    "points": Field(type=int, default=10, low=2, high=200),
+    "replications": Field(type=int, default=2, low=1, high=64),
+}
+
 #: Validation schemas, by ``"METHOD /path"`` endpoint key.  The
 #: validation middleware rejects anything not conforming before the
 #: handler — or the response cache — sees the request.
@@ -65,20 +72,10 @@ SCHEMAS: Dict[str, Mapping[str, Field]] = {
         "seed": Field(type=int, default=0),
         "include_records": Field(type=bool, default=True),
     },
-    "POST /sweep": {
-        "dataset": Field(type=dict, required=True),
-        "points": Field(type=int, default=10, low=2, high=200),
-        "replications": Field(type=int, default=2, low=1, high=64),
-    },
-    "POST /configure": {
-        "dataset": Field(type=dict, required=True),
-        "points": Field(type=int, default=10, low=2, high=200),
-        "replications": Field(type=int, default=2, low=1, high=64),
-    },
+    "POST /sweep": _SWEEP_FIELDS,
+    "POST /configure": _SWEEP_FIELDS,
     "POST /recommend": {
-        "dataset": Field(type=dict, required=True),
-        "points": Field(type=int, default=10, low=2, high=200),
-        "replications": Field(type=int, default=2, low=1, high=64),
+        **_SWEEP_FIELDS,
         "objectives": Field(type=list, required=True),
         "policy": Field(
             type=str, default="max_utility",
@@ -154,6 +151,24 @@ def _parse_objectives(raw: List[object]) -> List[Objective]:
     return objectives
 
 
+def _lppm_of(body: dict):
+    """``(lppm, param_name)``: the mechanism ``body["lppm"]`` names,
+    built at ``body["param"]``, with typed 400s."""
+    name = body["lppm"]
+    if name not in available_lppms():
+        raise ServiceError(
+            400, "invalid-request",
+            f"lppm: must be one of {available_lppms()}, got {name!r}",
+        )
+    try:
+        param_name = primary_param(name)
+        return lppm_class(name)(**{param_name: body["param"]}), param_name
+    except (TypeError, ValueError) as exc:
+        # Covers out-of-range values and registered mechanisms whose
+        # constructors do not take a scalar first parameter.
+        raise ServiceError(400, "invalid-param", f"{name}: {exc}")
+
+
 def _model_dict(model) -> dict:
     """A fitted SystemModel as JSON (the paper's equation-2 view)."""
     a, b, alpha, beta = model.coefficients
@@ -207,26 +222,12 @@ def make_handlers(
         _, dataset = state.dataset_for(
             body["dataset"], tenant=tenant_of(request)
         )
-        name = body["lppm"]
-        if name not in available_lppms():
-            raise ServiceError(
-                400, "invalid-request",
-                f"lppm: must be one of {available_lppms()}, got {name!r}",
-            )
-        try:
-            param_name = primary_param(name)
-            lppm = lppm_class(name)(**{param_name: body["param"]})
-        except (TypeError, ValueError) as exc:
-            # Covers out-of-range values and registered mechanisms
-            # whose constructors do not take a scalar first parameter.
-            raise ServiceError(
-                400, "invalid-param", f"{name}: {exc}"
-            )
+        lppm, param_name = _lppm_of(body)
         # No lock: LPPM protection is pure (per-(seed, user) RNG
         # derivation) and the dataset is read-only once registered.
         protected = lppm.protect(dataset, seed=body["seed"])
         payload = {
-            "lppm": name,
+            "lppm": body["lppm"],
             "param_name": param_name,
             "param": body["param"],
             "seed": body["seed"],
@@ -420,18 +421,7 @@ def make_handlers(
         body = request.body
         name = _stream_session_of(request)
         records = _stream_records_of(body)
-        lppm_name = body["lppm"]
-        if lppm_name not in available_lppms():
-            raise ServiceError(
-                400, "invalid-request",
-                f"lppm: must be one of {available_lppms()}, "
-                f"got {lppm_name!r}",
-            )
-        try:
-            param_name = primary_param(lppm_name)
-            lppm = lppm_class(lppm_name)(**{param_name: body["param"]})
-        except (TypeError, ValueError) as exc:
-            raise ServiceError(400, "invalid-param", f"{lppm_name}: {exc}")
+        lppm, _ = _lppm_of(body)
         window_s = body["window_s"]
         if window_s is not None and window_s <= 0:
             raise ServiceError(

@@ -1115,12 +1115,11 @@ class ResponseCacheMiddleware(Middleware):
     and only 2xx responses are ever stored, so a denial (401/403/429)
     can never be replayed to anyone.
 
-    ``should_cache`` (optional) vetoes caching per request — the app
-    uses it to bypass requests whose responses are *not* pure functions
-    of the body (e.g. dataset specs naming a server-side file that may
-    change).  ``key_body`` (optional) canonicalises the request's body
-    before keying — the app uses it to fill nested dataset-spec
-    defaults, so equivalent spellings share one entry.  ``on_hit``
+    ``key_body`` (optional) maps a request to the body its key is
+    computed over, or to ``None`` to bypass the cache — the app keys a
+    dataset spec by its content identity, so equivalent spellings share
+    one entry, and bypasses requests whose responses are *not* pure
+    functions of the body (a dataset on disk may change).  ``on_hit``
     (optional) post-processes the fresh copy of a replayed body — the
     app uses it to zero per-request cost counters, which would
     otherwise replay the original request's cost.
@@ -1138,13 +1137,11 @@ class ResponseCacheMiddleware(Middleware):
         self,
         cacheable: Sequence[str],
         max_entries: int = 1024,
-        should_cache: Optional[Callable[[Request], bool]] = None,
         key_body: Optional[Callable[[Request], Optional[dict]]] = None,
         on_hit: Optional[Callable[[dict], dict]] = None,
     ) -> None:
         self.cacheable = frozenset(cacheable)
-        self.should_cache = should_cache
-        self.key_body = key_body
+        self.key_body = key_body or (lambda request: request.body or {})
         self.on_hit = on_hit
         self._lock = threading.Lock()
         self._entries = BoundedLRU(max_entries)
@@ -1153,14 +1150,11 @@ class ResponseCacheMiddleware(Middleware):
         )
 
     def handle(self, request: Request, call_next: Handler) -> Response:
-        if request.endpoint not in self.cacheable or (
-            self.should_cache is not None and not self.should_cache(request)
-        ):
+        if request.endpoint not in self.cacheable:
             return call_next(request)
-        body_for_key = (
-            self.key_body(request) if self.key_body is not None
-            else request.body
-        )
+        body_for_key = self.key_body(request)
+        if body_for_key is None:
+            return call_next(request)
         # The tenant is part of the key whenever one is attached — a
         # pipeline without an auth layer keys tenant-lessly, exactly as
         # before the tenant model existed.

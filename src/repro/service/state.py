@@ -6,21 +6,19 @@ cache), one registry of loaded datasets, and one registry of fitted
 :class:`~repro.framework.Configurator` models — shared by every request
 instead of being rebuilt per CLI invocation.
 
-Datasets are named by *content*: the canonical JSON of the request's
-dataset spec is the registry key, so two clients asking for the same
-synthetic fleet (or the same CSV path) share one in-memory dataset, one
-engine fingerprint, and one fitted model.  The dataset registry is a
-bounded **LRU**: the least recently requested dataset (with its fitted
-configurators) is evicted when the bound is hit, so hot workloads stay
-resident under scenario-diverse traffic.
-
-Named scenarios (:mod:`repro.scenarios`) plug in as a fourth spec form:
-``{"scenario": "taxi", "users": 5}`` resolves through the state's own
-:class:`~repro.scenarios.ScenarioRegistry` — seeded with the built-in
-workloads, extended by ``POST /datasets`` — and is keyed by the
-scenario's *content fingerprint*, so re-registering a name under a
-different spec (or editing a file-backed scenario's data) can never
-serve stale datasets or stale cached responses.
+Datasets are named by *content*: every dataset spec except inline
+records lowers to a :class:`~repro.scenarios.ScenarioSpec` — ``path``
+and ``workload`` specs included — and is keyed by that spec's content
+fingerprint, so two clients asking for the same synthetic fleet (or the
+same CSV file) share one in-memory dataset, one engine fingerprint, and
+one fitted model, however they spell it.  Scenario names resolve in the
+tenant's own :class:`~repro.scenarios.ScenarioRegistry` (seeded with the
+built-in workloads, extended by ``POST /datasets``); file-backed specs
+pin the file's mtime and size, so an edited file or a re-registered
+name changes the key instead of serving stale data.  The dataset
+registry is a bounded **LRU**: the least recently requested dataset
+(with its fitted configurators) is evicted when the bound is hit, so
+hot workloads stay resident under scenario-diverse traffic.
 
 Concurrency: the :class:`~repro.engine.EvaluationEngine` is itself
 thread-safe (its bookkeeping sits under an internal lock, the protect +
@@ -48,42 +46,19 @@ from ..framework import Configurator, geo_ind_system
 from ..framework.spec import SystemDefinition
 from ..framework.store import RecordStore
 from ..lru import BoundedLRU
-from ..mobility import Dataset, Trace, read_csv
+from ..mobility import Dataset, Trace
 from ..scenarios import ScenarioRegistry, ScenarioSpec
 from ..streaming import SessionManager
-from ..synth import (
-    CommuterConfig,
-    TaxiFleetConfig,
-    generate_commuters,
-    generate_taxi_fleet,
-)
 from .middleware import ANONYMOUS_TENANT, ServiceError, canonical_body_key
 
-__all__ = [
-    "ServiceState",
-    "resolve_dataset_spec",
-    "resolve_scenario_spec",
-    "normalised_dataset_spec",
-]
+__all__ = ["ServiceState", "resolve_dataset_spec"]
 
-#: Synthetic workloads a dataset spec may name.
-_WORKLOADS = ("taxi", "commuters")
-
-
-def normalised_dataset_spec(spec):
-    """A workload spec with its omitted defaults made explicit.
-
-    Pure (no IO): ``{"workload": "taxi"}`` and
-    ``{"workload": "taxi", "users": 10, "seed": 0}`` describe the same
-    data, and everything that keys on a spec — the dataset registry,
-    the response cache — must see one spelling.  Non-workload specs
-    pass through unchanged.
-    """
-    if isinstance(spec, dict) and "workload" in spec:
-        return dict(
-            spec, users=spec.get("users", 10), seed=spec.get("seed", 0)
-        )
-    return spec
+#: The keys each non-scenario dataset-spec form may carry.
+_FORM_KEYS = {
+    "path": {"path"},
+    "workload": {"workload", "users", "seed"},
+    "records": {"records"},
+}
 
 
 def merge_scenario_spec(spec: dict, registry: ScenarioRegistry):
@@ -116,115 +91,110 @@ def merge_scenario_spec(spec: dict, registry: ScenarioRegistry):
         )
 
 
-def _resolve_merged(
-    merged, registry: ScenarioRegistry, fingerprint: Optional[str] = None
-) -> Dataset:
-    """Resolve a merged spec through the registry, with typed errors."""
-    try:
-        return registry.resolve_spec(merged, fingerprint=fingerprint)
-    except FileNotFoundError as exc:
-        raise ServiceError(404, "dataset-not-found", str(exc))
-    except (ValueError, OSError) as exc:
-        raise ServiceError(
-            400, "invalid-dataset",
-            f"scenario {merged.name!r} failed to resolve: {exc}",
-        )
-
-
-def resolve_scenario_spec(
-    spec: dict, registry: ScenarioRegistry
-) -> Dataset:
-    """Resolve a ``{"scenario": name, **overrides}`` dataset spec
-    through the registry's LRU; a file-backed scenario whose path
-    vanished is a typed 404."""
-    return _resolve_merged(merge_scenario_spec(spec, registry), registry)
-
-
-def resolve_dataset_spec(
-    spec: dict, registry: Optional[ScenarioRegistry] = None
-) -> Dataset:
-    """Build the dataset a request's ``dataset`` spec describes.
+def _lower_spec(
+    spec, scenarios: Callable[[], ScenarioRegistry]
+) -> Tuple[Optional[ScenarioSpec], Optional[ScenarioRegistry]]:
+    """The scenario spec a request's ``dataset`` spec names.
 
     Exactly one of four forms:
 
-    * ``{"path": "traces.csv"}`` — a CSV file on the server's disk;
-    * ``{"workload": "taxi"|"commuters", "users": N, "seed": S}`` — a
-      synthetic workload, generated deterministically;
-    * ``{"records": [[user, time_s, lat, lon], ...]}`` — inline data;
     * ``{"scenario": "name", ...overrides}`` — a named scenario from
-      ``registry`` (:class:`~repro.scenarios.ScenarioRegistry`),
-      resolved through its LRU dataset cache.
+      the registry ``scenarios()`` returns, merged with the overrides;
+    * ``{"path": p}`` — lowered to kind ``csv`` with ``{"path": p}``;
+    * ``{"workload": w, "users": u, "seed": s}`` — lowered to kind
+      ``w`` with ``{"users": u, "seed": s}`` (defaults 10 and 0);
+    * ``{"records": [[user, time_s, lat, lon], ...]}`` — inline data,
+      the one form that is not a scenario: returns ``(None, None)``.
+
+    Returns the spec and the registry it must resolve through — only
+    the scenario form has one, so the legacy forms never touch a
+    registry's dataset LRU.
     """
     if not isinstance(spec, dict):
         raise ServiceError(
             400, "invalid-dataset", "dataset spec must be a JSON object"
         )
     if "scenario" in spec:
-        # Scenario form first: its other keys are parameter overrides
-        # (the scenario kind validates them), not competing forms —
-        # this must agree with the cache keying in scenario_key_spec,
-        # or a spec would 400 cold and succeed warm.
-        if registry is None:
-            # Standalone callers see the process-global registry; the
-            # service always passes its own per-instance one.
-            from ..scenarios import default_registry
-
-            registry = default_registry()
-        return resolve_scenario_spec(spec, registry)
-    forms = [k for k in ("path", "workload", "records") if k in spec]
+        # Its other keys are parameter overrides (the scenario kind
+        # validates them), not competing forms.
+        registry = scenarios()
+        return merge_scenario_spec(spec, registry), registry
+    forms = [form for form in _FORM_KEYS if form in spec]
     if len(forms) != 1:
         raise ServiceError(
             400, "invalid-dataset",
             "dataset spec needs exactly one of 'path', 'workload', "
             f"'records' or 'scenario'; got {sorted(spec) or 'nothing'}",
         )
-    allowed = {
-        "path": {"path"},
-        "workload": {"workload", "users", "seed"},
-        "records": {"records"},
-    }[forms[0]]
-    unknown = sorted(set(spec) - allowed)
+    unknown = sorted(set(spec) - _FORM_KEYS[forms[0]])
     if unknown:
-        # Strictness is load-bearing, not pedantry: unrecognised keys
-        # would change registry/cache keys without changing the data.
+        # Strictness is load-bearing, not pedantry: a misspelt key
+        # ("user") would otherwise be dropped silently.
         raise ServiceError(
             400, "invalid-dataset",
             f"unknown dataset spec fields: {unknown}",
         )
+    if "records" in spec:
+        return None, None
     if "path" in spec:
         try:
-            return read_csv(spec["path"])
-        except FileNotFoundError:
-            raise ServiceError(
-                404, "dataset-not-found", f"no such file: {spec['path']}"
-            )
-        except (ValueError, OSError) as exc:
-            raise ServiceError(
-                400, "invalid-dataset", f"unreadable CSV: {exc}"
-            )
-    if "workload" in spec:
-        # Read the generation inputs through the same normalisation
-        # that keys the registries, so key and data cannot drift.
-        spec = normalised_dataset_spec(spec)
-        workload = spec["workload"]
-        if workload not in _WORKLOADS:
-            raise ServiceError(
-                400, "invalid-dataset",
-                f"workload must be one of {list(_WORKLOADS)}, "
-                f"got {workload!r}",
-            )
-        users = spec["users"]
-        seed = spec["seed"]
-        if not isinstance(users, int) or isinstance(users, bool) or users < 1:
-            raise ServiceError(
-                400, "invalid-dataset", "users must be a positive integer"
-            )
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ServiceError(400, "invalid-dataset", "seed must be an integer")
-        if workload == "taxi":
-            return generate_taxi_fleet(TaxiFleetConfig(n_cabs=users, seed=seed))
-        return generate_commuters(CommuterConfig(n_users=users, seed=seed))
-    records = spec["records"]
+            return ScenarioSpec.make("csv", "csv", {"path": spec["path"]}), None
+        except ValueError as exc:
+            raise ServiceError(400, "invalid-dataset", str(exc))
+    kind = spec["workload"]
+    if kind not in ("taxi", "commuters"):
+        raise ServiceError(
+            400, "invalid-dataset",
+            f"workload must be one of ['taxi', 'commuters'], got {kind!r}",
+        )
+    users, seed = spec.get("users", 10), spec.get("seed", 0)
+    if not isinstance(users, int) or isinstance(users, bool) or users < 1:
+        raise ServiceError(
+            400, "invalid-dataset", "users must be a positive integer"
+        )
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ServiceError(400, "invalid-dataset", "seed must be an integer")
+    # These checks are all the generator configs ask of the two fields,
+    # so the spec skips make()'s re-validation (this runs on every warm
+    # response-cache hit).
+    return ScenarioSpec(kind, kind, (("seed", seed), ("users", users))), None
+
+
+def _fingerprint_of(scenario: ScenarioSpec) -> str:
+    """A scenario spec's fingerprint, with typed errors."""
+    try:
+        return scenario.fingerprint()
+    except FileNotFoundError as exc:
+        raise ServiceError(404, "dataset-not-found", str(exc))
+    except OSError as exc:
+        raise ServiceError(
+            400, "invalid-dataset",
+            f"scenario {scenario.name!r} is unreadable: {exc}",
+        )
+
+
+def _resolve(
+    scenario: ScenarioSpec,
+    registry: Optional[ScenarioRegistry],
+    fingerprint: Optional[str] = None,
+) -> Dataset:
+    """Build ``scenario``'s dataset (through ``registry``'s LRU when
+    given), with typed errors."""
+    try:
+        if registry is None:
+            return scenario.resolve()
+        return registry.resolve_spec(scenario, fingerprint=fingerprint)
+    except FileNotFoundError as exc:
+        raise ServiceError(404, "dataset-not-found", str(exc))
+    except (ValueError, OSError) as exc:
+        raise ServiceError(
+            400, "invalid-dataset",
+            f"scenario {scenario.name!r} failed to resolve: {exc}",
+        )
+
+
+def _records_dataset(records) -> Dataset:
+    """The dataset of an inline ``{"records": [...]}`` spec."""
     if not isinstance(records, list) or not records:
         raise ServiceError(
             400, "invalid-dataset", "records must be a non-empty list"
@@ -264,6 +234,24 @@ def resolve_dataset_spec(
         return Dataset.from_traces(traces)
     except ValueError as exc:
         raise ServiceError(400, "invalid-dataset", str(exc))
+
+
+def resolve_dataset_spec(
+    spec: dict, registry: Optional[ScenarioRegistry] = None
+) -> Dataset:
+    """Build the dataset a request's ``dataset`` spec describes.
+
+    The forms are :func:`_lower_spec`'s; scenario names resolve
+    in ``registry`` (default: the process-global one).
+    """
+    if registry is None:
+        from ..scenarios import default_registry
+
+        registry = default_registry()
+    scenario, via = _lower_spec(spec, lambda: registry)
+    if scenario is None:
+        return _records_dataset(spec["records"])
+    return _resolve(scenario, via)
 
 
 def _scenario_list(record: dict) -> list:
@@ -470,105 +458,53 @@ class ServiceState:
                         pass
         return registry
 
-    def _key_spec_of(
-        self, spec: dict, tenant: Optional[str] = None
-    ) -> dict:
-        """The spec as actually keyed: defaults filled, files pinned.
+    def dataset_identity(
+        self, spec, tenant: Optional[str] = None
+    ) -> Tuple[str, bool, Callable[[], Dataset]]:
+        """``(key, file_backed, resolve)`` of a request's dataset spec.
 
-        Workload specs are normalised (omitted ``users``/``seed``
-        become their defaults) so equivalent spellings share one
-        dataset, one fitted model, and one cache entry.  Path-form
-        specs are keyed by the file's identity (mtime and size) as
-        well as its name, so a long-running daemon re-reads a CSV that
-        changed on disk instead of serving the stale dataset forever.
-        Scenario-form specs are keyed by the merged spec's *content
-        fingerprint*, which carries the same guarantees: parameter
-        spellings canonicalise, and file-backed scenarios pin the file
-        tree's identity.
+        The one identity rule of the service.  Every form except inline
+        records lowers to a :class:`~repro.scenarios.ScenarioSpec` and
+        is keyed by its content fingerprint alone, so every spelling of
+        one dataset — a workload spec, a scenario, a registered preset
+        — shares one dataset, one fitted model and one response-cache
+        entry, while an edited file or a re-registered name changes the
+        key instead of serving stale data.  The key folds ``tenant`` in,
+        so one tenant's resident datasets are invisible to another's;
+        scenario names resolve in the tenant's own registry.
+
+        ``file_backed`` says the data lives on disk and may change, so
+        the response cache must not replay it.  ``resolve()`` builds the
+        dataset: scenario names through the registry's LRU, under the
+        fingerprint the key was made from; ``path`` and ``workload``
+        specs directly, leaving that LRU and its counters alone.  Spec
+        errors raise the service's typed :class:`ServiceError`.
         """
-        if not isinstance(spec, dict):
-            return spec
-        if "scenario" in spec:
-            return self.scenario_key_spec(spec, tenant=tenant)
-        if set(spec) == {"path"} and isinstance(spec.get("path"), str):
-            try:
-                stat = os.stat(spec["path"])
-            except FileNotFoundError:
-                raise ServiceError(
-                    404, "dataset-not-found", f"no such file: {spec['path']}"
-                )
-            except OSError as exc:
-                # Exists but cannot be examined (permissions, IO):
-                # matches resolve_dataset_spec's diagnosis for a file
-                # that fails at open time.
-                raise ServiceError(
-                    400, "invalid-dataset", f"unreadable CSV: {exc}"
-                )
-            return dict(spec, _mtime_ns=stat.st_mtime_ns, _size=stat.st_size)
-        return normalised_dataset_spec(spec)
+        scenario, registry = _lower_spec(
+            spec, lambda: self.scenarios_for(tenant)
+        )
+        if scenario is None:
+            digest = canonical_body_key("dataset", spec)
+            file_backed = False
 
-    def scenario_key_spec(
-        self, spec: dict, tenant: Optional[str] = None
-    ) -> dict:
-        """Canonical key form of a ``{"scenario": ...}`` dataset spec.
+            def resolve() -> Dataset:
+                return _records_dataset(spec["records"])
+        else:
+            digest = _fingerprint_of(scenario)
+            file_backed = scenario.is_file_backed
 
-        The key is the merged (base + overrides) spec's content
-        fingerprint — and *only* the fingerprint: two names describing
-        the same data (a preset and its spelled-out parameterisation)
-        share one dataset, one fitted model and one response-cache
-        entry, while re-registering a name with a different spec — or
-        editing a file-backed scenario's data — changes the key
-        instead of serving stale data.  The name resolves against
-        ``tenant``'s own registry.
-        """
-        merged = merge_scenario_spec(spec, self.scenarios_for(tenant))
-        return {"scenario_fingerprint": self._fingerprint_of(merged)}
-
-    @staticmethod
-    def _fingerprint_of(merged) -> str:
-        """A merged scenario spec's fingerprint, with typed errors."""
-        try:
-            return merged.fingerprint()
-        except FileNotFoundError as exc:
-            raise ServiceError(404, "dataset-not-found", str(exc))
-        except OSError as exc:
-            raise ServiceError(
-                400, "invalid-dataset",
-                f"scenario {merged.name!r} is unreadable: {exc}",
-            )
+            def resolve() -> Dataset:
+                return _resolve(scenario, registry, digest)
+        key = hashlib.sha256(f"{digest}:{tenant}".encode("utf-8"))
+        return key.hexdigest()[:16], file_backed, resolve
 
     def dataset_for(
         self, spec: dict, tenant: Optional[str] = None
     ) -> Tuple[str, Dataset]:
-        """The (registry key, dataset) for a request's dataset spec.
-
-        ``tenant`` namespaces everything: scenario names resolve in the
-        tenant's own registry, and the returned key — which also keys
-        the fitted-configurator registry — folds the tenant in, so one
-        tenant's resident datasets and models are invisible to (and
-        un-evictable through) another tenant's requests.
-        """
-        registry = self.scenarios_for(tenant)
-        if isinstance(spec, dict) and "scenario" in spec:
-            # Merge and fingerprint once, resolve against that same
-            # identity: for file-backed scenarios each fingerprint is
-            # a stat sweep of the tree, and key/data must agree even
-            # if a file changes mid-request.
-            merged = merge_scenario_spec(spec, registry)
-            fingerprint = self._fingerprint_of(merged)
-            key_spec: dict = {"scenario_fingerprint": fingerprint}
-
-            def resolve() -> Dataset:
-                return _resolve_merged(
-                    merged, registry, fingerprint=fingerprint
-                )
-        else:
-            key_spec = self._key_spec_of(spec, tenant=tenant)
-
-            def resolve() -> Dataset:
-                return resolve_dataset_spec(spec, registry=registry)
-
-        key = canonical_body_key("dataset", key_spec, tenant=tenant)[:16]
+        """The (registry key, dataset) for a request's dataset spec,
+        identified by :meth:`dataset_identity`.  The key also keys the
+        fitted-configurator registry."""
+        key, _, resolve = self.dataset_identity(spec, tenant=tenant)
         with self._registry_lock:
             dataset = self._datasets.touch(key)
         if dataset is None:

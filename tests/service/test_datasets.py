@@ -249,3 +249,45 @@ class TestFileBackedScenarios:
         # makes the repeat free.
         assert fresh_client.metrics()["response_cache"]["hits"] == 0
         assert repeat["engine"]["executions_this_request"] == 0
+
+
+class TestLegacySpellingsShareOneIdentity:
+    """``path`` and ``workload`` specs lower to scenario specs, so each
+    spelling of one dataset keys one dataset and one fitted model."""
+
+    def test_workload_and_scenario_spellings(self, fresh_client):
+        fresh_client.sweep({"workload": "taxi", "users": 2, "seed": 7},
+                           points=3, replications=1)
+        second = fresh_client.sweep({"scenario": "taxi", "users": 2,
+                                     "seed": 7}, points=3, replications=1)
+        assert fresh_client.healthz()["datasets"] == 1
+        assert second["engine"]["executions_this_request"] == 0
+
+    def test_path_and_registered_csv_scenario(self, fresh_client, tmp_path):
+        path = tmp_path / "fleet.csv"
+        write_csv(ScenarioRegistry().resolve("taxi", **TINY), path)
+        fresh_client.register_dataset("fleet", "csv", {"path": str(path)})
+        fresh_client.sweep({"path": str(path)}, points=3, replications=1)
+        second = fresh_client.sweep({"scenario": "fleet"}, points=3,
+                                    replications=1)
+        assert fresh_client.healthz()["datasets"] == 1
+        assert second["engine"]["executions_this_request"] == 0
+        # Both spellings are file-backed: neither is ever replayed.
+        assert fresh_client.metrics()["response_cache"] == \
+            {"entries": 0, "hits": 0, "misses": 0}
+
+    def test_legacy_forms_leave_the_scenario_lru_alone(self, fresh_client,
+                                                       tmp_path):
+        path = tmp_path / "fleet.csv"
+        write_csv(ScenarioRegistry().resolve("taxi", **TINY), path)
+        fresh_client.protect({"workload": "commuters", "users": 2},
+                             include_records=False)
+        fresh_client.protect({"path": str(path)}, include_records=False)
+        assert fresh_client.datasets()["cache"] == \
+            {"entries": 0, "capacity": 8, "hits": 0, "misses": 0}
+
+    def test_non_string_path_is_typed_400(self, fresh_client):
+        with pytest.raises(ServiceClientError) as excinfo:
+            fresh_client.protect({"path": 5})
+        assert (excinfo.value.status, excinfo.value.code) == \
+            (400, "invalid-dataset")

@@ -298,3 +298,18 @@ class TestResponseCache:
         pipeline(Request("POST", "/a", body={}),
                  lambda r: calls.append(1) or ok_handler(r))
         assert calls == [1]
+
+    def test_key_body_none_bypasses(self):
+        cache = ResponseCacheMiddleware(
+            ["POST /a"],
+            key_body=lambda r: None if r.body.get("skip") else r.body,
+        )
+        pipeline = MiddlewarePipeline([cache])
+        calls = []
+        handler = lambda r: calls.append(1) or ok_handler(r)
+        for _ in range(2):
+            response = pipeline(Request("POST", "/a", body={"skip": 1}),
+                                handler)
+            assert "X-Response-Cache" not in response.headers
+        assert len(calls) == 2
+        assert cache.counters.read() == {"entries": 0, "hits": 0, "misses": 0}

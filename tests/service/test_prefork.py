@@ -264,6 +264,24 @@ class TestServeGuards:
         finally:
             service.close(grace_s=5.0)
 
+    def test_temporary_shared_dir_is_removed(self, monkeypatch):
+        import repro.service.prefork as prefork
+
+        seen = []
+
+        def fake_serve_prefork(make_service, **kwargs):
+            service = make_service()
+            try:
+                seen.append(service.state.shared_dir)
+                assert service.state.shared_dir.is_dir()
+            finally:
+                service.close(grace_s=5.0)
+            return 0
+
+        monkeypatch.setattr(prefork, "serve_prefork", fake_serve_prefork)
+        assert serve(processes=2, workers=1) == 0
+        assert len(seen) == 1 and not seen[0].exists()
+
     def test_reuseport_probe_answers_a_bool(self):
         assert isinstance(reuseport_available(), bool)
         if sys.platform == "linux":

@@ -188,6 +188,27 @@ class TestGenerate:
         assert len(read_csv(path)) == 2
         assert "wrote" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("workload", ["taxi", "commuters"])
+    def test_csv_matches_the_direct_generator(self, tmp_path, workload):
+        from repro.mobility import write_csv
+        from repro.synth import (
+            CommuterConfig,
+            TaxiFleetConfig,
+            generate_commuters,
+            generate_taxi_fleet,
+        )
+
+        via_cli = tmp_path / "cli.csv"
+        assert main(["generate", str(via_cli), "--workload", workload,
+                     "--users", "3", "--seed", "4"]) == 0
+        direct = tmp_path / "direct.csv"
+        if workload == "taxi":
+            dataset = generate_taxi_fleet(TaxiFleetConfig(n_cabs=3, seed=4))
+        else:
+            dataset = generate_commuters(CommuterConfig(n_users=3, seed=4))
+        write_csv(dataset, direct)
+        assert via_cli.read_bytes() == direct.read_bytes()
+
 
 class TestProtect:
     def test_geo_ind_protection(self, taxi_csv, tmp_path):
