@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Metric evaluation cost: analysis cache cold vs warm, kernel speedups.
 
-Six measurements — the first three on a 50-user synthetic commuter
+Seven measurements — the first three on a 50-user synthetic commuter
 dataset:
 
 * **per-metric wall time** — each registered heavyweight metric
@@ -28,6 +28,10 @@ dataset:
   ``/recommend`` generates) from the segment-at-a-time track builder
   against the fix-at-a-time one; must stay bit-identical while ≥ 1.8×
   faster;
+* **online chunks** — a geo_ind live stream pushed in 50-record chunks
+  (what one ``POST /stream`` carries) through ``push_many`` against
+  the record-at-a-time reference stream; must release the same bits,
+  leave the generator in the same state and be ≥ 3× faster;
 * **protect speedups** — the columnar ``protect_block`` path of every
   vectorised LPPM against the seed per-trace loop, on a many-user
   dataset (2500 users × 40 records full, the short-trace fleet shape
@@ -84,7 +88,8 @@ def _reference_module(package: str):
     (``tests/<package>/reference.py``: the stay-point kernels and
     dwelling-trace fixture under ``analysis``, the per-trace protect
     paths under ``lppm``, the fix-at-a-time track builder under
-    ``synth``) so the bench's speedup baseline and the tests'
+    ``synth``, the record-at-a-time live path under ``streaming``) so
+    the bench's speedup baseline and the tests'
     bit-identity baseline can never drift apart; the tests package is
     imported from the repo root, wherever the bench is launched from.
     """
@@ -318,6 +323,49 @@ def bench_synth_fleet(n_fleets: int) -> dict:
     }
 
 
+def bench_online_chunk(n_chunks: int, chunk: int = 50) -> dict:
+    """50-record geo_ind chunks: ``push_many`` vs record-at-a-time.
+
+    The live half of ``POST /stream``: one chunk goes through one
+    projection, one Lambert-W call and one trig pass instead of one
+    of each per record.  Both sides start a fresh stream per run, so
+    the first chunk's anchoring is timed too.
+    """
+    reference = _reference_module("streaming")
+    lppm = GeoIndistinguishability(0.01)
+    rng = np.random.default_rng(705)
+    n = n_chunks * chunk
+    rows = list(zip(
+        np.cumsum(rng.uniform(5.0, 60.0, size=n)).tolist(),
+        (37.75 + np.cumsum(rng.normal(0.0, 2e-4, size=n))).tolist(),
+        (-122.41 + np.cumsum(rng.normal(0.0, 2e-4, size=n))).tolist(),
+    ))
+    chunks = [rows[i:i + chunk] for i in range(0, n, chunk)]
+
+    def chunked():
+        stream = lppm.protect_online(seed=705, user="cab")
+        return [r for c in chunks for r in stream.push_many(c)], stream
+
+    def record_at_a_time():
+        stream = reference.reference_online(lppm, seed=705, user="cab")
+        return [stream.push(*row) for row in rows], stream
+
+    new, new_stream = chunked()
+    ref, ref_stream = record_at_a_time()
+    new_s = min(_timed(chunked) for _ in range(5))
+    ref_s = min(_timed(record_at_a_time) for _ in range(5))
+    return {
+        "chunks": n_chunks,
+        "records": n,
+        "reference_s": round(ref_s, 4),
+        "vectorized_s": round(new_s, 4),
+        "speedup": round(ref_s / new_s, 1) if new_s > 0 else None,
+        "bit_identical": new == ref
+        and new_stream._rng.bit_generator.state
+        == ref_stream._rng.bit_generator.state,
+    }
+
+
 def bench_protect(n_users: int, records_per_user: int) -> dict:
     """Columnar protect vs the seed per-trace loop (bit-identical).
 
@@ -409,6 +457,7 @@ def main(argv=None) -> int:
         16 if args.smoke else 64
     )
     kernels["synth_taxi_fleet"] = bench_synth_fleet(20)
+    kernels["online_chunk"] = bench_online_chunk(40 if args.smoke else 200)
     results = {
         "users": len(actual),
         "records": actual.n_records,
@@ -458,6 +507,8 @@ def main(argv=None) -> int:
     # Twenty 2-cab fleets either way; 2.32-2.81x measured over 8 runs
     # on a shared 2-vCPU VM.
     synth_floor = 1.8
+    # 50-record chunks either way; 13-14x measured on a shared 2-vCPU VM.
+    online_floor = 3.0
     protect_floor = 2.0 if args.smoke else 4.0
     per_lppm = results["protect"]["per_lppm"]
     ok = (
@@ -471,6 +522,7 @@ def main(argv=None) -> int:
         and kernels["stay_points"]["speedup"] >= kernel_floor
         and kernels["stay_points_noisy"]["speedup"] >= noisy_floor
         and kernels["synth_taxi_fleet"]["speedup"] >= synth_floor
+        and kernels["online_chunk"]["speedup"] >= online_floor
         and all(r["bit_identical"] for r in per_lppm.values())
         and all(
             per_lppm[name]["speedup"] is not None

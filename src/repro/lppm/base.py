@@ -27,6 +27,7 @@ from typing import (
 
 import numpy as np
 
+from ..geo import LatLon, LocalProjection
 from ..mobility import Dataset, Trace, TraceBlock
 
 __all__ = [
@@ -260,8 +261,9 @@ class LPPM(abc.ABC):
         """A stateful online protection stream for one user.
 
         The returned :class:`OnlineProtector` accepts incremental
-        location updates (:meth:`OnlineProtector.push`), emitting a
-        live protected record per update, and replays the accumulated
+        location updates, one (:meth:`OnlineProtector.push`) or a chunk
+        (:meth:`OnlineProtector.push_many`) at a time, emitting a live
+        protected record per update, and replays the accumulated
         batch through the mechanism's batch path on demand
         (:meth:`OnlineProtector.result`) — the replay is bit-identical
         to :meth:`protect` over the same records.
@@ -278,16 +280,20 @@ class OnlineProtector:
 
     Two guarantees, two paths:
 
-    * :meth:`push` emits a **live** protected record per update.  The
-      base implementation wraps the existing per-trace machinery —
-      it re-protects the accumulated prefix with a fresh
-      ``(seed, user)`` generator and emits the tail, which is correct
+    * :meth:`push_many` emits a **live** protected record per update of
+      a chunk (:meth:`push` is ``push_many`` of one record).  The base
+      implementation wraps the existing per-trace machinery — release
+      k re-protects the accumulated prefix up to k with a fresh
+      ``(seed, user)`` generator and emits its tail, which is correct
       for every mechanism but costs O(prefix) per update.  Mechanisms
       with separable per-record randomness (geo-I, Gaussian, rounding,
-      subsampling, uniform disk) override :meth:`_emit_live` with a
+      subsampling, uniform disk) override :meth:`_emit_many` with a
       true O(1)-per-update path: a session-fixed projection anchor and
       a carried per-``(seed, user)`` RNG stream, so live output is
-      drawn from the same distribution as the batch path.
+      drawn from the same distribution as the batch path.  Each chunk
+      draws its randomness in one call that consumes the carried
+      stream exactly as record-by-record pushes would, so a chunk
+      releases the same bits however the stream is cut into chunks.
     * :meth:`result` replays everything pushed so far through
       :meth:`LPPM.protect` with the session's seed.  A replayed batch
       is therefore **bit-identical** to protecting the same trace
@@ -325,21 +331,38 @@ class OnlineProtector:
         emit yet.  Raises :class:`ValueError` for coordinates outside
         valid ranges, mirroring :class:`Trace` validation.
         """
-        time_s, lat, lon = float(time_s), float(lat), float(lon)
-        if not (abs(lat) <= 90.0 and abs(lon) <= 180.0):
-            raise ValueError(
-                f"coordinates outside valid lat/lon ranges: {lat}, {lon}"
-            )
-        if not (np.isfinite(time_s) and np.isfinite(lat) and np.isfinite(lon)):
-            raise ValueError("location updates must be finite numbers")
-        self._times.append(time_s)
-        self._lats.append(lat)
-        self._lons.append(lon)
-        return self._emit_live(time_s, lat, lon)
+        return self.push_many([(time_s, lat, lon)])[0]
 
-    def _emit_live(self, time_s: float, lat: float, lon: float):
-        """Live emission for one update; base = prefix replay tail."""
-        protected = self.result()
+    def push_many(self, records) -> list:
+        """Accept a chunk of ``(time_s, lat, lon)`` updates at once.
+
+        Returns one entry per record, each what :meth:`push` would
+        have returned for it.  The whole chunk is validated before any
+        state changes: a bad record raises :class:`ValueError` with
+        nothing accepted and no randomness spent, so a retried chunk
+        releases exactly what a clean first try would have.
+        """
+        times, lats, lons = _update_columns(records)
+        if not times.size:
+            return []
+        self._times.extend(times.tolist())
+        self._lats.extend(lats.tolist())
+        self._lons.extend(lons.tolist())
+        return self._emit_many(times, lats, lons)
+
+    def _emit_many(self, times, lats, lons) -> list:
+        """Live emissions for a chunk already appended to the stream.
+
+        The base is the prefix replay: release k depends on every
+        update up to k, so it loops :meth:`_emit_live` over the
+        chunk's prefix ends.
+        """
+        first = self.n_pushed - times.size + 1
+        return [self._emit_live(end) for end in range(first, self.n_pushed + 1)]
+
+    def _emit_live(self, end: int):
+        """Live emission of update ``end - 1``: its prefix replay's tail."""
+        protected = self._protect_prefix(end)
         if protected.is_empty:
             return None
         return (
@@ -352,6 +375,11 @@ class OnlineProtector:
         """The accumulated raw updates as a :class:`Trace`."""
         return Trace(self.user, self._times, self._lats, self._lons)
 
+    def recent(self, n: int) -> Tuple[List[float], List[float], List[float]]:
+        """The last ``n`` accepted updates as ``(times, lats, lons)`` lists."""
+        start = self.n_pushed - n
+        return self._times[start:], self._lats[start:], self._lons[start:]
+
     def result(self) -> Trace:
         """Protect everything pushed so far through the batch path.
 
@@ -360,8 +388,90 @@ class OnlineProtector:
         depends only on ``(seed, user)``, so an online session replayed
         in one go cannot be told apart from an offline run.
         """
-        dataset = Dataset.from_traces([self.pushed_trace()])
+        return self._protect_prefix(self.n_pushed)
+
+    def _protect_prefix(self, end: int) -> Trace:
+        """The batch protection of the first ``end`` pushed updates."""
+        prefix = Trace(
+            self.user, self._times[:end], self._lats[:end], self._lons[:end]
+        )
+        dataset = Dataset.from_traces([prefix])
         return self.lppm.protect(dataset, seed=self.seed)[self.user]
+
+
+def _release_rows(times, lats, lons) -> List[Tuple[float, float, float]]:
+    """A chunk's ``(time_s, lat, lon)`` columns as release tuples."""
+    return list(zip(times.tolist(), lats.tolist(), lons.tolist()))
+
+
+def _update_columns(records) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated ``(times, lats, lons)`` float columns of a chunk.
+
+    Raises :class:`ValueError` for the first bad record, with the
+    message record-by-record validation gave it: coordinates outside
+    valid ranges (which includes a NaN coordinate), then non-finite
+    values.
+    """
+    rows = np.asarray(records, dtype=float)
+    if rows.shape == (0,):
+        rows = rows.reshape(0, 3)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError("location updates must be (time_s, lat, lon) triples")
+    times, lats, lons = rows.T
+    out_of_range = ~((np.abs(lats) <= 90.0) & (np.abs(lons) <= 180.0))
+    non_finite = ~np.isfinite(rows).all(axis=1)
+    bad = np.flatnonzero(out_of_range | non_finite)
+    if bad.size:
+        i = bad[0]
+        if out_of_range[i]:
+            raise ValueError(
+                "coordinates outside valid lat/lon ranges: "
+                f"{float(lats[i])}, {float(lons[i])}"
+            )
+        raise ValueError("location updates must be finite numbers")
+    return times, lats, lons
+
+
+class _AnchoredOnline(OnlineProtector):
+    """O(1) online base: projection anchored at the first push.
+
+    An online session cannot know the eventual trace centroid, so the
+    projection is fixed by the first update; each chunk is then
+    projected, displaced by :meth:`_displace` and mapped back in one
+    vectorised pass.
+    """
+
+    def __init__(self, lppm: "LPPM", seed: int = 0, user: str = "stream"):
+        super().__init__(lppm, seed, user)
+        self._projection = None
+
+    def _emit_many(self, times, lats, lons) -> list:
+        if self._projection is None:
+            self._projection = LocalProjection(
+                LatLon(float(lats[0]), float(lons[0]))
+            )
+        x, y = self._projection.to_xy(lats, lons)
+        out_lats, out_lons = self._projection.to_latlon(
+            *self._displace(x, y)
+        )
+        return _release_rows(times, out_lats, out_lons)
+
+    def _displace(self, x: np.ndarray, y: np.ndarray) -> tuple:
+        """Displaced ``(x, y)`` of a chunk, drawn from the carried stream."""
+        raise NotImplementedError
+
+    def _draw_polar(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(u, theta)`` of ``n`` polar displacements in one draw.
+
+        Pushed alone, an update draws ``u ~ Uniform[0, 1)`` then
+        ``theta ~ Uniform[0, 2π)``: two consecutive doubles ``d`` and
+        ``2π·d`` of the stream.  One ``2n`` draw consumes the same
+        doubles, so ``u`` sits at the even positions and the raw angle
+        at the odd ones — and a chunk releases the same bits however
+        the stream is cut.
+        """
+        v = self._rng.uniform(0.0, 1.0, size=2 * n)
+        return v[0::2], v[1::2] * (2.0 * np.pi)
 
 
 # The default for every mechanism; set after the class exists because

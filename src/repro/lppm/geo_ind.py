@@ -29,9 +29,9 @@ from typing import Mapping
 import numpy as np
 from scipy.special import lambertw
 
-from ..geo import LatLon, LocalProjection
+from ..geo import LocalProjection
 from ..mobility import Trace, TraceBlock
-from .base import LPPM, OnlineProtector, _concat_trace_draws, register_lppm
+from .base import LPPM, _AnchoredOnline, _concat_trace_draws, register_lppm
 
 __all__ = [
     "GeoIndistinguishability",
@@ -88,30 +88,19 @@ def _polar_draws(rng: np.random.Generator, trace) -> tuple:
     return v[:n], v[n:]
 
 
-class _GeoIndOnline(OnlineProtector):
+class _GeoIndOnline(_AnchoredOnline):
     """O(1)-per-update planar Laplace over a session-fixed anchor.
 
-    The projection is anchored at the first pushed location (an online
-    session cannot know the eventual trace centroid), and radii/angles
-    come from the session's carried ``(seed, user)`` stream — the same
-    Gamma(2, 1/ε) displacement distribution as the batch path, one
-    polar draw per update.
+    Radii and angles come from the session's carried ``(seed, user)``
+    stream — the same Gamma(2, 1/ε) displacement distribution as the
+    batch path, one polar draw per update, one Lambert-W call per
+    chunk.
     """
 
-    def __init__(self, lppm: "GeoIndistinguishability", seed=0, user="stream"):
-        super().__init__(lppm, seed, user)
-        self._projection = None
-
-    def _emit_live(self, time_s, lat, lon):
-        if self._projection is None:
-            self._projection = LocalProjection(LatLon(lat, lon))
-        x, y = self._projection.to_xy(lat, lon)
-        r = planar_laplace_radii(self.lppm.epsilon, 1, self._rng)[0]
-        theta = self._rng.uniform(0.0, 2.0 * np.pi)
-        out = self._projection.point_to_latlon(
-            float(x) + r * np.cos(theta), float(y) + r * np.sin(theta)
-        )
-        return (time_s, out.lat, out.lon)
+    def _displace(self, x, y):
+        u, theta = self._draw_polar(x.size)
+        r = planar_laplace_radii_from_uniform(self.lppm.epsilon, u)
+        return x + r * np.cos(theta), y + r * np.sin(theta)
 
 
 @register_lppm("geo_ind")

@@ -14,44 +14,24 @@ from typing import Mapping
 
 import numpy as np
 
-from ..geo import LatLon, LocalProjection
+from ..geo import LocalProjection
 from ..mobility import Trace, TraceBlock
-from .base import LPPM, OnlineProtector, _concat_trace_draws, register_lppm
+from .base import LPPM, _AnchoredOnline, _concat_trace_draws, register_lppm
 from .geo_ind import _polar_draws
 
 __all__ = ["GaussianPerturbation", "UniformDiskNoise"]
 
 
-class _AnchoredOnline(OnlineProtector):
-    """Shared O(1) online base: projection anchored at the first push."""
-
-    def __init__(self, lppm, seed=0, user="stream"):
-        super().__init__(lppm, seed, user)
-        self._projection = None
-
-    def _emit_live(self, time_s, lat, lon):
-        if self._projection is None:
-            self._projection = LocalProjection(LatLon(lat, lon))
-        x, y = self._projection.to_xy(lat, lon)
-        out = self._projection.point_to_latlon(
-            *self._displace(float(x), float(y))
-        )
-        return (time_s, out.lat, out.lon)
-
-    def _displace(self, x: float, y: float) -> tuple:
-        raise NotImplementedError
-
-
 class _GaussianOnline(_AnchoredOnline):
     def _displace(self, x, y):
-        dx, dy = self._rng.normal(0.0, self.lppm.sigma_m, size=2)
-        return x + dx, y + dy
+        d = self._rng.normal(0.0, self.lppm.sigma_m, size=(x.size, 2))
+        return x + d[:, 0], y + d[:, 1]
 
 
 class _UniformDiskOnline(_AnchoredOnline):
     def _displace(self, x, y):
-        r = self.lppm.radius_m * np.sqrt(self._rng.uniform(0.0, 1.0))
-        theta = self._rng.uniform(0.0, 2.0 * np.pi)
+        u, theta = self._draw_polar(x.size)
+        r = self.lppm.radius_m * np.sqrt(u)
         return x + r * np.cos(theta), y + r * np.sin(theta)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..geo import LatLon, LocalProjection, SpatialGrid
 from ..mobility import Trace, TraceBlock
-from .base import LPPM, OnlineProtector, register_lppm
+from .base import LPPM, OnlineProtector, _release_rows, register_lppm
 
 __all__ = ["GridRounding"]
 
@@ -34,13 +34,14 @@ class _RoundingOnline(OnlineProtector):
         super().__init__(lppm, seed, user)
         self._grid = lppm._grid
 
-    def _emit_live(self, time_s, lat, lon):
+    def _emit_many(self, times, lats, lons):
         if self._grid is None:
             self._grid = SpatialGrid(
-                LocalProjection(LatLon(lat, lon)), self.lppm.cell_size_m
+                LocalProjection(LatLon(float(lats[0]), float(lons[0]))),
+                self.lppm.cell_size_m,
             )
-        lats, lons = self._grid.snap(lat, lon)
-        return (time_s, float(lats), float(lons))
+        out_lats, out_lons = self._grid.snap(lats, lons)
+        return _release_rows(times, out_lats, out_lons)
 
 
 @register_lppm("rounding")

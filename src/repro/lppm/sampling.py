@@ -19,6 +19,7 @@ from .base import (
     OnlineProtector,
     _block_rng,
     _concat_trace_draws,
+    _release_rows,
     register_lppm,
 )
 
@@ -32,11 +33,12 @@ class _SubsamplingOnline(OnlineProtector):
     consuming its draw like the batch path's overridden ``keep[0]``.
     """
 
-    def _emit_live(self, time_s, lat, lon):
-        keep = self._rng.uniform() < self.lppm.keep_fraction
-        if self.n_pushed == 1 or keep:
-            return (time_s, lat, lon)
-        return None
+    def _emit_many(self, times, lats, lons):
+        keep = self._rng.uniform(size=times.size) < self.lppm.keep_fraction
+        if self.n_pushed == times.size:
+            keep[0] = True
+        rows = _release_rows(times, lats, lons)
+        return [row if kept else None for row, kept in zip(rows, keep)]
 
 
 @register_lppm("subsampling")

@@ -106,29 +106,29 @@ class ProtectionSession:
 
         Returns one entry per input record: the released
         ``(time_s, lat, lon)`` tuple, or ``None`` when the mechanism
-        suppressed the record (subsampling).
+        suppressed the record (subsampling).  The whole batch goes
+        through one :meth:`~repro.lppm.OnlineProtector.push_many`, so a
+        bad record rejects the batch before any state changes.
         """
-        out: List[Optional[Tuple[float, float, float]]] = []
-        for time_s, lat, lon in records:
-            released = self._protector.push(time_s, lat, lon)
-            self.updates += 1
-            time_s = float(time_s)
-            if time_s > self._t_newest:
-                self._t_newest = time_s
-            if self._grid is None:
-                self._grid = SpatialGrid.around(
-                    LatLon(float(lat), float(lon)), self.cell_size_m
-                )
-            if released is None:
-                self.dropped += 1
-            else:
-                self.released += 1
-                self._pair_times.append(time_s)
-                self._pair_actual[0].append(float(lat))
-                self._pair_actual[1].append(float(lon))
-                self._pair_released[0].append(released[1])
-                self._pair_released[1].append(released[2])
-            out.append(released)
+        records = list(records)
+        out = self._protector.push_many(records)
+        if not out:
+            return out
+        times, lats, lons = self._protector.recent(len(out))
+        self.updates += len(out)
+        self._t_newest = max(self._t_newest, max(times))
+        if self._grid is None:
+            self._grid = SpatialGrid.around(
+                LatLon(lats[0], lons[0]), self.cell_size_m
+            )
+        kept = [i for i, released in enumerate(out) if released is not None]
+        self.released += len(kept)
+        self.dropped += len(out) - len(kept)
+        self._pair_times.extend(times[i] for i in kept)
+        self._pair_actual[0].extend(lats[i] for i in kept)
+        self._pair_actual[1].extend(lons[i] for i in kept)
+        self._pair_released[0].extend(out[i][1] for i in kept)
+        self._pair_released[1].extend(out[i][2] for i in kept)
         return out
 
     # ------------------------------------------------------------------

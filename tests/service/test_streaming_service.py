@@ -8,6 +8,7 @@ to the per-endpoint in-flight gauges.
 
 import pytest
 
+from repro.lppm import lppm_class, primary_param
 from repro.service import (
     ApiKeyStore,
     ConfigService,
@@ -171,3 +172,37 @@ class TestStreamObservability:
         gauges = snapshot["service"]["in_flight_by_endpoint"]
         # The only live request is this GET /metrics itself.
         assert gauges.get("GET /metrics") == 1
+
+
+class TestStreamLiveParity:
+    """Chunks through the service release what in-process record-by-
+    record pushes release, for every mechanism with an O(1) live path."""
+
+    RIDE = [[float(i * 30), 37.76 + i * 7e-5, -122.42 + i * 4e-5]
+            for i in range(60)]
+
+    @pytest.mark.parametrize("lppm, param", [
+        ("geo_ind", 0.01),
+        ("gaussian", 25.0),
+        ("uniform_disk", 60.0),
+        ("rounding", 150.0),
+        ("subsampling", 0.5),
+    ])
+    def test_uneven_chunks_match_in_process_push(self, client, lppm, param):
+        released = []
+        start = 0
+        for size in (1, 7, 0, 13, 2, 37):
+            chunk = self.RIDE[start:start + size]
+            start += size
+            out = client.stream_update(f"parity-{lppm}", chunk, lppm=lppm,
+                                       param=param, seed=5, user="rider")
+            assert out["accepted"] == len(chunk)
+            released.extend(out["released"])
+        assert start == len(self.RIDE)
+
+        mechanism = lppm_class(lppm)(**{primary_param(lppm): param})
+        online = mechanism.protect_online(seed=5, user="rider")
+        expected = [online.push(*row) for row in self.RIDE]
+        assert released == [
+            list(rel) if rel is not None else None for rel in expected
+        ]

@@ -118,6 +118,29 @@ class TestSessionManager:
         with pytest.raises(ValueError, match="does not exist yet"):
             manager.update("t", "s", _records(1))
 
+    def test_bad_chunk_is_rejected_whole(self):
+        # A chunk whose 3rd record is out of range must change nothing:
+        # applying its first two records would spend their draws, and a
+        # retry would then release the same true points under fresh
+        # noise — two releases to average.
+        manager = SessionManager()
+        lppm = GeoIndistinguishability(0.05)
+        clean = _records(5)
+        bad = list(clean)
+        bad[2] = (bad[2][0], 95.0, bad[2][2])
+        with pytest.raises(ValueError):
+            manager.update("t", "s", bad, lppm=lppm, seed=4)
+        session = manager.get("t", "s")
+        assert session.updates == 0
+        assert session.pushed_trace().is_empty
+        fresh = ProtectionSession(lppm, user="s", seed=4)
+        state = session._protector._rng.bit_generator.state
+        assert state == fresh._protector._rng.bit_generator.state
+        assert manager.counters.read()["updates_total"] == 0
+        _, retried = manager.update("t", "s", clean, lppm=lppm, seed=4)
+        assert retried == fresh.update(clean)
+        assert session.metrics() == fresh.metrics()
+
     def test_create_update_get_close(self):
         manager = SessionManager()
         session, live = manager.update(
