@@ -570,9 +570,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 2
 
     # Multi-process mode needs shared on-disk state (result cache,
-    # cross-process job store).  --cache-dir
-    # doubles as that root; without it a temporary directory keeps the
-    # fleet coherent for this run and is removed on exit.
+    # cross-process job store), and serve() refuses it without one.
+    # --cache-dir doubles as that root; without it a temporary directory
+    # holds both the engine's cache and the workers' shared state for
+    # this run, and is removed on exit.
     cache_dir = args.cache_dir
     tmp_root = None
     if args.processes > 1 and cache_dir is None:

@@ -48,7 +48,7 @@ from .middleware import (
     header_value,
     validate_body,
 )
-from .state import ServiceState, resolve_dataset_spec
+from .state import ServiceState
 
 __all__ = [
     # app
@@ -90,7 +90,6 @@ __all__ = [
     "check_deadline",
     # state & handlers
     "ServiceState",
-    "resolve_dataset_spec",
     "SCHEMAS",
     "make_handlers",
     "make_job_handlers",

@@ -30,12 +30,12 @@ Endpoints::
 from __future__ import annotations
 
 import copy
+import functools
+import inspect
 import json
 import logging
 import os
-import shutil
 import signal
-import tempfile
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -105,12 +105,8 @@ class ConfigService:
         engine with a persistent ``cache_dir``.
     system_factory:
         Builds the analysed system (default: the paper's GEO-I).
-    response_cache_size:
-        Bound on the response-cache middleware's entry count.
     workers:
         Job-worker threads — the daemon's async evaluation concurrency.
-    max_queued_jobs:
-        Waiting-job bound; a full queue turns ``POST /jobs`` into 429.
     job_ttl_s:
         Seconds a finished job stays pollable before it expires.
     api_keys:
@@ -142,10 +138,7 @@ class ConfigService:
         self,
         engine: Optional[EvaluationEngine] = None,
         system_factory=geo_ind_system,
-        response_cache_size: int = 1024,
-        log: Optional[logging.Logger] = None,
         workers: int = 2,
-        max_queued_jobs: int = 16,
         job_ttl_s: float = 600.0,
         api_keys: Optional[ApiKeyStore] = None,
         allow_anonymous: Optional[bool] = None,
@@ -166,7 +159,6 @@ class ConfigService:
         self.jobs = JobManager(
             execute=self._execute_job,
             workers=workers,
-            max_queued=max_queued_jobs,
             ttl_s=job_ttl_s,
             max_jobs_per_tenant=max_jobs_per_tenant,
             shared_dir=(shared / "jobs") if shared is not None else None,
@@ -200,7 +192,6 @@ class ConfigService:
         )
         self.response_cache = ResponseCacheMiddleware(
             CACHEABLE_ENDPOINTS,
-            max_entries=response_cache_size,
             key_body=self._cache_key_body,
             on_hit=self._refresh_hit_body,
         )
@@ -234,9 +225,9 @@ class ConfigService:
         self.pipeline = MiddlewarePipeline([
             RequestIdMiddleware(),
             self.compression,
-            LoggingMiddleware(log),
+            LoggingMiddleware(),
             self.metrics,
-            ErrorBoundaryMiddleware(log),
+            ErrorBoundaryMiddleware(),
             self.auth,
             self.rate_limit,
             self.load_shed,
@@ -434,8 +425,7 @@ class ConfigService:
         ``port=0`` asks the OS for a free port (useful in tests);
         ``server.server_address`` reports the actual binding.
         ``bind_and_activate=False`` defers binding so pre-fork workers
-        can set socket options (``SO_REUSEPORT``) or adopt an inherited
-        socket before the server touches the address.
+        can set ``SO_REUSEPORT`` before the server touches the address.
         """
         service = self
 
@@ -498,22 +488,21 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
         # reads (X-API-Key, Accept-Encoding).
         return {name: value for name, value in self.headers.items()}
 
-    def do_GET(self) -> None:  # noqa: N802  (http.server naming)
+    def _bodyless(self, method: str) -> None:
         if self.headers.get("Content-Length") not in (None, "0"):
-            # GETs are bodyless here; an unread body would desync
-            # keep-alive (its bytes parse as the next request line).
+            # GETs and DELETEs are bodyless here; an unread body would
+            # desync keep-alive (its bytes parse as the next request
+            # line).
             self.close_connection = True
         self._respond(self.app.handle(
-            "GET", self._route_path(), headers=self._request_headers(),
+            method, self._route_path(), headers=self._request_headers(),
         ))
 
+    def do_GET(self) -> None:  # noqa: N802  (http.server naming)
+        self._bodyless("GET")
+
     def do_DELETE(self) -> None:  # noqa: N802
-        if self.headers.get("Content-Length") not in (None, "0"):
-            # DELETEs are bodyless here, same keep-alive rule as GET.
-            self.close_connection = True
-        self._respond(self.app.handle(
-            "DELETE", self._route_path(), headers=self._request_headers(),
-        ))
+        self._bodyless("DELETE")
 
     def do_POST(self) -> None:  # noqa: N802
         path = self._route_path()
@@ -620,94 +609,57 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
 def serve(
     host: str = "127.0.0.1",
     port: int = 8080,
-    engine: Optional[EvaluationEngine] = None,
-    service: Optional[ConfigService] = None,
-    ready: Optional[threading.Event] = None,
-    workers: int = 2,
-    job_ttl_s: float = 600.0,
-    grace_s: float = 10.0,
-    api_keys: Optional[ApiKeyStore] = None,
-    allow_anonymous: Optional[bool] = None,
-    rate_limit_rps: Optional[float] = None,
-    rate_limit_burst: Optional[int] = None,
-    max_jobs_per_tenant: Optional[int] = None,
+    *,
     processes: int = 1,
-    shared_dir=None,
-    max_in_flight: Optional[int] = None,
+    grace_s: float = 10.0,
+    ready: Optional[threading.Event] = None,
     fault_spec: Optional[str] = None,
+    **service_options,
 ) -> int:
     """Run the configuration service until interrupted.
 
-    The CLI's ``repro-lppm serve`` lands here.  ``ready`` (if given) is
-    set once the socket is bound — test harnesses use it to know when
-    requests may be sent.  The hardening knobs (``api_keys``,
-    ``allow_anonymous``, ``rate_limit_rps``/``rate_limit_burst``,
-    ``max_jobs_per_tenant``) pass straight to :class:`ConfigService`
-    and are ignored when a pre-built ``service`` is supplied.
+    The CLI's ``repro-lppm serve`` lands here.  ``service_options`` are
+    :class:`ConfigService`'s keywords; the daemon (or each pre-fork
+    worker) builds its service from them.  ``ready`` (if given) is set
+    once the socket is bound — test harnesses use it to know when
+    requests may be sent.
 
     ``processes > 1`` switches to pre-fork mode: the parent reserves
     the port, forks that many workers (each running its own pipeline +
     job manager over a fresh post-fork :class:`ConfigService`), and
     supervises them — crashed workers restart, SIGTERM fans out for a
-    bounded-grace drain.  ``shared_dir`` (strongly recommended there)
-    gives siblings a common result cache and job store so the fleet
-    behaves like one warm service.
+    bounded-grace drain.  It requires a ``shared_dir``, the siblings'
+    common result cache and job store, so the fleet behaves like one
+    warm service; without one it raises :class:`ValueError` before
+    anything forks.
 
     SIGTERM and SIGINT both shut down cleanly: the socket closes, jobs
     drain with a ``grace_s``-bounded grace period (still-running jobs
     are then cancelled cooperatively), and the process exits 0 — what
     CI runners and container orchestrators expect of a stop.
     """
+    if processes > 1 and service_options.get("shared_dir") is None:
+        # Without a shared directory the workers would be islands: no
+        # cross-worker cache hits, and /jobs/<id> polls landing on the
+        # wrong worker would 404.
+        raise ValueError("processes > 1 requires a shared_dir")
+    # A misspelt option fails here, not in every forked worker.
+    inspect.signature(ConfigService).bind(**service_options)
     if fault_spec:
         # Arm this process and advertise the spec to every child it
         # spawns or forks (pre-fork workers, pool workers): chaos runs
         # must fault the whole tree, not just the supervisor.
         os.environ[_FAULT_SPEC_ENV] = fault_spec
         default_injector().configure(fault_spec)
-
-    def make_service() -> ConfigService:
-        return ConfigService(
-            engine=engine, workers=workers, job_ttl_s=job_ttl_s,
-            api_keys=api_keys, allow_anonymous=allow_anonymous,
-            rate_limit_rps=rate_limit_rps,
-            rate_limit_burst=rate_limit_burst,
-            max_jobs_per_tenant=max_jobs_per_tenant,
-            shared_dir=shared_dir,
-            max_in_flight=max_in_flight,
-        )
-
+    make_service = functools.partial(ConfigService, **service_options)
     if processes > 1:
-        if service is not None:
-            raise ValueError(
-                "processes > 1 forks fresh workers and cannot adopt a "
-                "pre-built service instance"
-            )
         from .prefork import serve_prefork
 
-        temporary = None
-        if shared_dir is None:
-            # Without a shared directory the workers would be islands:
-            # no cross-worker cache hits, and /jobs/<id> polls landing
-            # on the wrong worker would 404.  Provision a temporary one
-            # as a safety net (the CLI normally supplies a real path);
-            # make_service reads it late, and it goes when the fleet
-            # stops (workers leave through os._exit, never this block).
-            shared_dir = temporary = tempfile.mkdtemp(
-                prefix="repro-lppm-shared-"
-            )
-            logger.warning(
-                "prefork mode without --cache-dir: using temporary "
-                "shared state in %s", shared_dir,
-            )
-        try:
-            return serve_prefork(
-                host=host, port=port, make_service=make_service,
-                processes=processes, grace_s=grace_s, ready=ready,
-            )
-        finally:
-            if temporary is not None:
-                shutil.rmtree(temporary, ignore_errors=True)
-    app = service if service is not None else make_service()
+        return serve_prefork(
+            host=host, port=port, make_service=make_service,
+            processes=processes, grace_s=grace_s, ready=ready,
+        )
+    app = make_service()
     server = app.make_server(host, port)
     bound_host, bound_port = server.server_address[:2]
     logger.info("serving on http://%s:%d", bound_host, bound_port)

@@ -310,14 +310,11 @@ class LoggingMiddleware(Middleware):
 
     name = "logging"
 
-    def __init__(self, log: Optional[logging.Logger] = None) -> None:
-        self._log = log or logger
-
     def handle(self, request: Request, call_next: Handler) -> Response:
         start = time.perf_counter()
         response = call_next(request)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        self._log.info(
+        logger.info(
             "%s %s -> %d in %.1f ms [%s]%s",
             request.method,
             # Canonicalised routes (e.g. /jobs/<id>) stash the real
@@ -383,11 +380,10 @@ class CompressionMiddleware(Middleware):
 
     name = "compression"
 
-    def __init__(self, min_bytes: int = 1024, level: int = 6) -> None:
+    def __init__(self, min_bytes: int = 1024) -> None:
         if min_bytes < 0:
             raise ValueError("min_bytes must be non-negative")
         self.min_bytes = int(min_bytes)
-        self.level = int(level)
         self.counters = Counters(
             responses_compressed=0, bytes_in=0, bytes_out=0, bytes_saved=0,
         )
@@ -402,7 +398,7 @@ class CompressionMiddleware(Middleware):
         payload = json.dumps(response.body).encode("utf-8")
         if len(payload) < self.min_bytes:
             return response
-        compressed = _gzip.compress(payload, compresslevel=self.level)
+        compressed = _gzip.compress(payload, compresslevel=6)
         if len(compressed) >= len(payload):
             return response
         response.encoded_body = compressed
@@ -501,9 +497,6 @@ class ErrorBoundaryMiddleware(Middleware):
 
     name = "error_boundary"
 
-    def __init__(self, log: Optional[logging.Logger] = None) -> None:
-        self._log = log or logger
-
     def handle(self, request: Request, call_next: Handler) -> Response:
         request_id = str(request.context.get("request_id", ""))
         try:
@@ -514,7 +507,7 @@ class ErrorBoundaryMiddleware(Middleware):
         except ServiceError as exc:
             return exc.to_response(request_id)
         except Exception:
-            self._log.exception(
+            logger.exception(
                 "unhandled error serving %s [%s]", request.endpoint, request_id
             )
             return ServiceError(
@@ -647,7 +640,8 @@ class ApiKeyAuthMiddleware(Middleware):
     * revoked key → typed ``403 revoked-api-key``.
 
     ``GET /healthz`` and ``GET /metrics`` stay unauthenticated
-    (``exempt``): probes and scrapers are infrastructure, not tenants.
+    (:data:`UNAUTHENTICATED_ENDPOINTS`): probes and scrapers are
+    infrastructure, not tenants.
     """
 
     name = "auth"
@@ -656,13 +650,9 @@ class ApiKeyAuthMiddleware(Middleware):
         self,
         store: Optional[ApiKeyStore] = None,
         allow_anonymous: bool = True,
-        exempt: Sequence[str] = UNAUTHENTICATED_ENDPOINTS,
-        header: str = "X-API-Key",
     ) -> None:
         self.store = store if store is not None else ApiKeyStore()
         self.allow_anonymous = bool(allow_anonymous)
-        self.exempt = frozenset(exempt)
-        self.header = header
         self.counters = Counters(
             keys=Gauge(lambda: len(self.store)),
             allow_anonymous=Gauge(lambda: self.allow_anonymous),
@@ -676,15 +666,15 @@ class ApiKeyAuthMiddleware(Middleware):
         return ServiceError(status, code, message)
 
     def handle(self, request: Request, call_next: Handler) -> Response:
-        if request.endpoint in self.exempt:
+        if request.endpoint in UNAUTHENTICATED_ENDPOINTS:
             request.context.setdefault("tenant", ANONYMOUS_TENANT)
             return call_next(request)
-        key = header_value(request, self.header)
+        key = header_value(request, "X-API-Key")
         if key is None or key == "":
             if not self.allow_anonymous:
                 raise self._deny(
                     401, "missing-api-key",
-                    f"this service requires a {self.header} header",
+                    "this service requires a X-API-Key header",
                 )
             request.context["tenant"] = ANONYMOUS_TENANT
             self.counters.add(anonymous=1)
@@ -731,7 +721,6 @@ class RateLimitMiddleware(Middleware):
         self,
         rate: Optional[float] = None,
         burst: Optional[float] = None,
-        exempt: Sequence[str] = UNAUTHENTICATED_ENDPOINTS,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if rate is not None and rate <= 0:
@@ -744,7 +733,6 @@ class RateLimitMiddleware(Middleware):
             else max(1.0, self.rate) if self.rate is not None
             else None
         )
-        self.exempt = frozenset(exempt)
         self._clock = clock
         self._lock = threading.Lock()
         #: tenant -> [tokens, last-refill timestamp].
@@ -758,7 +746,7 @@ class RateLimitMiddleware(Middleware):
         )
 
     def handle(self, request: Request, call_next: Handler) -> Response:
-        if self.rate is None or request.endpoint in self.exempt:
+        if self.rate is None or request.endpoint in UNAUTHENTICATED_ENDPOINTS:
             return call_next(request)
         tenant = str(request.context.get("tenant") or ANONYMOUS_TENANT)
         with self._lock:
@@ -902,7 +890,7 @@ class LoadShedMiddleware(Middleware):
     """Bounded in-flight depth: refuse early what cannot be served.
 
     With ``max_in_flight`` set, request number N+1 gets an immediate
-    typed ``503 overloaded`` with ``Retry-After`` instead of queueing
+    typed ``503 overloaded`` with ``Retry-After: 1`` instead of queueing
     behind work the worker cannot start — bounded latency beats a
     deep queue of doomed requests.  Liveness endpoints are exempt for
     the same reason they skip auth: probes must see a struggling
@@ -912,12 +900,7 @@ class LoadShedMiddleware(Middleware):
 
     name = "load_shed"
 
-    def __init__(
-        self,
-        max_in_flight: Optional[int] = None,
-        exempt: Sequence[str] = UNAUTHENTICATED_ENDPOINTS,
-        retry_after_s: int = 1,
-    ) -> None:
+    def __init__(self, max_in_flight: Optional[int] = None) -> None:
         if max_in_flight is not None and max_in_flight < 1:
             raise ValueError(
                 "max_in_flight must be at least 1 (or None to disable)"
@@ -925,8 +908,6 @@ class LoadShedMiddleware(Middleware):
         self.max_in_flight = (
             int(max_in_flight) if max_in_flight is not None else None
         )
-        self.exempt = frozenset(exempt)
-        self.retry_after_s = int(retry_after_s)
         # Admission state, not counters: the bound is checked and the
         # depth raised in one step under the lock.
         self._lock = threading.Lock()
@@ -940,7 +921,8 @@ class LoadShedMiddleware(Middleware):
         )
 
     def handle(self, request: Request, call_next: Handler) -> Response:
-        if self.max_in_flight is None or request.endpoint in self.exempt:
+        if (self.max_in_flight is None
+                or request.endpoint in UNAUTHENTICATED_ENDPOINTS):
             return call_next(request)
         with self._lock:
             overloaded = self.in_flight >= self.max_in_flight
@@ -956,7 +938,7 @@ class LoadShedMiddleware(Middleware):
                 f"{self.max_in_flight} requests already in flight on "
                 f"this worker; retry shortly",
                 details={"max_in_flight": self.max_in_flight},
-                headers={"Retry-After": str(self.retry_after_s)},
+                headers={"Retry-After": "1"},
             )
         try:
             return call_next(request)

@@ -7,19 +7,11 @@ pipeline, job manager, engine pools) behind the same threaded HTTP
 server ``serve()`` uses — so a fleet of workers behaves exactly like N
 independent daemons sharing one port and one ``shared_dir``.
 
-Two socket strategies, picked at runtime:
-
-``SO_REUSEPORT`` (Linux, modern BSDs)
-    The parent binds a non-listening *guard* socket to reserve the
-    port (and resolve ``port=0``); every worker then binds + listens
-    on its **own** ``SO_REUSEPORT`` socket.  The kernel load-balances
-    incoming connections across the listening sockets, and a guard
-    that never calls ``listen()`` never joins the balancing group.
-
-inherited-socket fallback
-    The parent binds *and listens* once; forked workers adopt the
-    inherited socket and compete on ``accept()``.  Connections queue
-    in the shared backlog, so no request is lost during a restart.
+Sockets: the parent binds a non-listening *guard* socket to reserve
+the port (and resolve ``port=0``); every worker then binds + listens on
+its **own** ``SO_REUSEPORT`` socket.  The kernel load-balances incoming
+connections across the listening sockets, and a guard that never calls
+``listen()`` never joins the balancing group.
 
 Supervision: a worker that exits unexpectedly is restarted; too many
 deaths inside a sliding window means a crash loop, and the supervisor
@@ -27,8 +19,9 @@ gives up with exit status 1 rather than fork-bombing.  SIGTERM/SIGINT
 fan out to the workers, each drains with the usual ``grace_s`` bound,
 and stragglers are SIGKILLed after grace (plus a margin) expires.
 
-Everything here is stdlib; ``os.fork`` limits pre-fork mode to POSIX
-platforms (the single-process path is unaffected elsewhere).
+Everything here is stdlib.  Pre-fork mode requires ``os.fork`` and
+``SO_REUSEPORT`` (Linux, modern BSDs) and raises :class:`RuntimeError`
+without them; the single-process path is unaffected elsewhere.
 """
 
 from __future__ import annotations
@@ -88,30 +81,9 @@ def reuseport_available() -> bool:
         probe.close()
 
 
-def _worker_server(app, host: str, port: int, inherited, use_reuseport):
-    """Bind this worker's HTTP server under the chosen socket strategy."""
-    server = app.make_server(host, port, bind_and_activate=False)
-    if use_reuseport:
-        # Fresh per-worker socket: joins the kernel's balancing group.
-        server.socket.setsockopt(
-            socket.SOL_SOCKET, socket.SO_REUSEPORT, 1
-        )
-        server.server_bind()
-        server.server_activate()
-    else:
-        # Adopt the parent's already-listening socket; the default
-        # unbound one the server constructed is discarded.
-        server.socket.close()
-        server.socket = inherited
-        server.server_address = inherited.getsockname()
-        host_name, server.server_port = server.server_address[:2]
-        server.server_name = socket.getfqdn(host_name)
-    return server
-
-
 def _worker_main(
     make_service, host: str, port: int, grace_s: float,
-    inherited, use_reuseport: bool, ready_fd: Optional[int],
+    ready_fd: Optional[int],
 ) -> None:
     """Run one worker to completion; never returns (``os._exit``).
 
@@ -133,7 +105,11 @@ def _worker_main(
         # built *after* the fork: threads do not survive fork, and a
         # pre-fork JobManager would carry dead workers into the child.
         app = make_service()
-        server = _worker_server(app, host, port, inherited, use_reuseport)
+        server = app.make_server(host, port, bind_and_activate=False)
+        # A fresh per-worker socket joins the kernel's balancing group.
+        server.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+        server.server_bind()
+        server.server_activate()
         if ready_fd is not None:
             os.write(ready_fd, b"1")
             os.close(ready_fd)
@@ -166,30 +142,27 @@ def serve_prefork(
     worker (post-fork).  ``ready`` (a :class:`threading.Event`, if
     given) is set once every initial worker has bound and is accepting.
     Returns the supervisor's exit status: 0 on a clean signal-driven
-    shutdown, 1 on boot failure or a crash loop.
+    shutdown, 1 on boot failure or a crash loop.  Raises
+    :class:`RuntimeError`, before binding anything, on a platform
+    without ``os.fork`` or ``SO_REUSEPORT``.
     """
     if not hasattr(os, "fork"):
         raise RuntimeError(
             "pre-fork mode requires os.fork (POSIX); "
             "run with --processes 1 on this platform"
         )
-    use_reuseport = reuseport_available()
-    guard = None
-    inherited = None
-    if use_reuseport:
-        guard = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        guard.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        guard.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        # bind without listen: reserves the port across worker
-        # restarts and resolves port=0, but never receives connections.
-        guard.bind((host, port))
-        bound_host, bound_port = guard.getsockname()[:2]
-    else:
-        inherited = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        inherited.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        inherited.bind((host, port))
-        inherited.listen(128)
-        bound_host, bound_port = inherited.getsockname()[:2]
+    if not reuseport_available():
+        raise RuntimeError(
+            "pre-fork mode requires SO_REUSEPORT; "
+            "run with --processes 1 on this platform"
+        )
+    guard = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    guard.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    guard.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+    # bind without listen: reserves the port across worker restarts and
+    # resolves port=0, but never receives connections.
+    guard.bind((host, port))
+    bound_host, bound_port = guard.getsockname()[:2]
 
     children: Dict[int, int] = {}  # pid -> worker slot (for logs)
     death_times: list = []
@@ -204,11 +177,9 @@ def serve_prefork(
             # --- child ---
             if read_fd is not None:
                 os.close(read_fd)
-            if guard is not None:
-                guard.close()
+            guard.close()
             _worker_main(
-                make_service, bound_host, bound_port, grace_s,
-                inherited, use_reuseport, write_fd,
+                make_service, bound_host, bound_port, grace_s, write_fd,
             )
             raise AssertionError("unreachable")  # _worker_main exits
         # --- parent ---
@@ -254,9 +225,7 @@ def serve_prefork(
                 except ChildProcessError:
                     pass
                 children.pop(pid, None)
-        for sock in (guard, inherited):
-            if sock is not None:
-                sock.close()
+        guard.close()
         return status
 
     ready_fds = []
@@ -286,14 +255,13 @@ def serve_prefork(
                   flush=True)
             return _shutdown(1)
 
-    mode = "SO_REUSEPORT" if use_reuseport else "shared accept"
     logger.info(
-        "pre-fork supervisor: %d workers on http://%s:%d via %s",
-        processes, bound_host, bound_port, mode,
+        "pre-fork supervisor: %d workers on http://%s:%d via SO_REUSEPORT",
+        processes, bound_host, bound_port,
     )
     print(
         f"repro-lppm service listening on http://{bound_host}:{bound_port} "
-        f"({processes} workers, {mode})",
+        f"({processes} workers, SO_REUSEPORT)",
         flush=True,
     )
     if ready is not None:

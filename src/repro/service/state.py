@@ -51,7 +51,7 @@ from ..scenarios import ScenarioRegistry, ScenarioSpec
 from ..streaming import SessionManager
 from .middleware import ANONYMOUS_TENANT, ServiceError, canonical_body_key
 
-__all__ = ["ServiceState", "resolve_dataset_spec"]
+__all__ = ["ServiceState"]
 
 #: The keys each non-scenario dataset-spec form may carry.
 _FORM_KEYS = {
@@ -236,22 +236,10 @@ def _records_dataset(records) -> Dataset:
         raise ServiceError(400, "invalid-dataset", str(exc))
 
 
-def resolve_dataset_spec(
-    spec: dict, registry: Optional[ScenarioRegistry] = None
-) -> Dataset:
-    """Build the dataset a request's ``dataset`` spec describes.
-
-    The forms are :func:`_lower_spec`'s; scenario names resolve
-    in ``registry`` (default: the process-global one).
-    """
-    if registry is None:
-        from ..scenarios import default_registry
-
-        registry = default_registry()
-    scenario, via = _lower_spec(spec, lambda: registry)
-    if scenario is None:
-        return _records_dataset(spec["records"])
-    return _resolve(scenario, via)
+def _tenant_key(tenant: Optional[str]) -> str:
+    """The tenant a registry or dataset key belongs to: a missing
+    tenant is the anonymous one, as it is for requests."""
+    return tenant or ANONYMOUS_TENANT
 
 
 def _scenario_list(record: dict) -> list:
@@ -282,10 +270,6 @@ class ServiceState:
         Bound on the dataset registry; the least recently used entry
         is evicted (with its fitted configurators) when the bound is
         hit.
-    scenarios:
-        The scenario registry backing ``{"scenario": ...}`` dataset
-        specs and the ``/datasets`` endpoints; ``None`` builds a fresh
-        one seeded with the built-in workloads.
     """
 
     def __init__(
@@ -293,7 +277,6 @@ class ServiceState:
         engine: Optional[EvaluationEngine] = None,
         system_factory: Callable[[], SystemDefinition] = geo_ind_system,
         max_datasets: int = 32,
-        scenarios: Optional[ScenarioRegistry] = None,
         shared_dir=None,
     ) -> None:
         #: Root of the cross-process warm-state directory (result
@@ -305,9 +288,9 @@ class ServiceState:
             else EvaluationEngine(cache_dir=self.shared_dir)
         )
         self.system = system_factory()
-        self.scenarios = (
-            scenarios if scenarios is not None else ScenarioRegistry()
-        )
+        #: The anonymous tenant's scenario registry, seeded with the
+        #: built-in workloads.
+        self.scenarios = ScenarioRegistry()
         #: Named tenants' private scenario registries, created lazily on
         #: first use (each seeded with the built-ins).  The anonymous
         #: tenant keeps :attr:`scenarios` — the pre-tenant behaviour.
@@ -358,9 +341,9 @@ class ServiceState:
         tenant's ``POST /datasets`` registrations are therefore
         invisible to (and un-evictable by) every other tenant.
         """
-        if tenant is None or tenant == ANONYMOUS_TENANT:
+        tenant = _tenant_key(tenant)
+        if tenant == ANONYMOUS_TENANT:
             registry = self.scenarios
-            tenant = ANONYMOUS_TENANT
         else:
             with self._registry_lock:
                 registry = self._tenant_scenarios.get(tenant)
@@ -437,7 +420,7 @@ class ServiceState:
         survives restarts).  Raises :class:`ValueError` exactly as
         :meth:`ScenarioRegistry.register` does on a conflicting name.
         """
-        tenant_key = tenant if tenant else ANONYMOUS_TENANT
+        tenant_key = _tenant_key(tenant)
         registry = self.scenarios_for(tenant_key)
         registry.register(spec, replace=replace)
         if self._scenario_store is not None:
@@ -469,9 +452,10 @@ class ServiceState:
         one dataset — a workload spec, a scenario, a registered preset
         — shares one dataset, one fitted model and one response-cache
         entry, while an edited file or a re-registered name changes the
-        key instead of serving stale data.  The key folds ``tenant`` in,
-        so one tenant's resident datasets are invisible to another's;
-        scenario names resolve in the tenant's own registry.
+        key instead of serving stale data.  The key folds ``tenant`` in
+        (a missing tenant is ``anonymous``), so one tenant's resident
+        datasets are invisible to another's; scenario names resolve in
+        the tenant's own registry.
 
         ``file_backed`` says the data lives on disk and may change, so
         the response cache must not replay it.  ``resolve()`` builds the
@@ -480,6 +464,7 @@ class ServiceState:
         specs directly, leaving that LRU and its counters alone.  Spec
         errors raise the service's typed :class:`ServiceError`.
         """
+        tenant = _tenant_key(tenant)
         scenario, registry = _lower_spec(
             spec, lambda: self.scenarios_for(tenant)
         )

@@ -208,6 +208,21 @@ class TestStateDatasetLRU:
         assert state.dataset_for(spec(0))[1] is a
         assert state.dataset_for(spec(1))[1] is not b
 
+    def test_missing_tenant_is_the_anonymous_tenant(self):
+        from repro.service import ANONYMOUS_TENANT, ServiceState
+
+        state = ServiceState()
+        spec = {"workload": "taxi", "users": 2, "seed": 1}
+        untenanted = state.dataset_identity(spec)[0]
+        assert untenanted == state.dataset_identity(
+            spec, tenant=ANONYMOUS_TENANT
+        )[0]
+        key, dataset = state.dataset_for(spec)
+        assert state.dataset_for(spec, tenant=ANONYMOUS_TENANT) == (
+            key, dataset
+        )
+        assert key == untenanted and state.n_datasets == 1
+
 
 class TestFileBackedScenarios:
     @pytest.fixture

@@ -256,31 +256,59 @@ class TestSharedScenarioRegistry:
 
 
 class TestServeGuards:
-    def test_prefork_rejects_prebuilt_service(self):
-        service = ConfigService(workers=1)
-        try:
-            with pytest.raises(ValueError):
-                serve(service=service, processes=2)
-        finally:
-            service.close(grace_s=5.0)
-
-    def test_temporary_shared_dir_is_removed(self, monkeypatch):
+    def test_prefork_requires_shared_dir(self, monkeypatch, tmp_path):
         import repro.service.prefork as prefork
+
+        calls = []
+        monkeypatch.setattr(prefork, "serve_prefork",
+                            lambda **kwargs: calls.append(kwargs))
+        with pytest.raises(ValueError, match="shared_dir"):
+            serve(processes=2)
+        # A misspelt service option fails before the fork, too.
+        with pytest.raises(TypeError):
+            serve(processes=2, shared_dir=tmp_path, worker=1)
+        assert calls == []
+
+    def test_cli_provisions_and_removes_the_shared_dir(self, monkeypatch):
+        import repro.service.prefork as prefork
+        from repro.cli import main
 
         seen = []
 
         def fake_serve_prefork(make_service, **kwargs):
             service = make_service()
             try:
-                seen.append(service.state.shared_dir)
-                assert service.state.shared_dir.is_dir()
+                shared = service.state.shared_dir
+                seen.append(shared)
+                assert shared.is_dir()
+                assert service.state.engine.cache.cache_dir == shared
             finally:
                 service.close(grace_s=5.0)
             return 0
 
         monkeypatch.setattr(prefork, "serve_prefork", fake_serve_prefork)
-        assert serve(processes=2, workers=1) == 0
+        assert main(["serve", "--processes", "2", "--workers", "1",
+                     "--engine", "serial"]) == 0
         assert len(seen) == 1 and not seen[0].exists()
+
+    def test_prefork_without_reuseport_refuses_before_binding(
+        self, monkeypatch, tmp_path
+    ):
+        import repro.service.prefork as prefork
+
+        class NoSockets:
+            def __getattr__(self, name):
+                raise AssertionError(f"touched socket.{name}")
+
+        built = []
+        monkeypatch.setattr(prefork, "reuseport_available", lambda: False)
+        monkeypatch.setattr(prefork, "socket", NoSockets())
+        with pytest.raises(RuntimeError, match="SO_REUSEPORT"):
+            prefork.serve_prefork(
+                host="127.0.0.1", port=0, processes=2,
+                make_service=lambda: built.append(1),
+            )
+        assert built == []
 
     def test_reuseport_probe_answers_a_bool(self):
         assert isinstance(reuseport_available(), bool)
