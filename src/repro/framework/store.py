@@ -10,12 +10,14 @@ It is also the one home of disk-record IO: every cache tier (engine
 results, analysis spill, job store, scenario store, stream flushes)
 reads and writes through a :class:`RecordStore`, so the sharded path,
 the atomic write, the quarantine of bad records and the circuit
-breaker are wired once.
+breaker are wired once; records several writers modify change through
+:meth:`RecordStore.update`, the one locked read-modify-write.
 """
 
 from __future__ import annotations
 
 import errno
+import fcntl
 import itertools
 import json
 import os
@@ -141,9 +143,10 @@ class RecordStore:
     content-addressed tiers whose names are hex digests — instead of a
     flat ``<name>.json``.
 
-    Thread- and process-safe without a lock: writes are atomic renames
-    and reads tolerate (and quarantine) anything torn, so owners call
-    it outside their own locks.
+    Thread- and process-safe: writes are atomic renames and reads
+    tolerate (and quarantine) anything torn, so content-addressed tiers
+    write last-writer-wins.  A record several writers modify changes
+    only through :meth:`update`; :meth:`changed` spots a sibling's write.
     """
 
     def __init__(
@@ -153,6 +156,7 @@ class RecordStore:
         self.kind = kind
         self.tier = tier
         self.sharded = sharded
+        self._seen: dict = {}  # probed name -> (inode, mtime)
 
     def path(self, name: str) -> Path:
         """Where the record ``name`` lives."""
@@ -193,6 +197,53 @@ class RecordStore:
         return write_guarded(
             self.tier, lambda: write_json_atomic(payload, path)
         )
+
+    def update(self, name: str, fn: Callable, decode=None) -> Any:
+        """Read-modify-write the record ``name``; returns ``fn``'s result.
+
+        ``fn`` gets the record as :meth:`read` returns it and returns the
+        fields to :meth:`write` (``None`` writes nothing); what it raises
+        propagates with the record intact.  An exclusive ``flock`` on
+        ``<directory>/.lock`` spans the read and the write, so updates
+        from every thread and process serialise and none is lost.
+        """
+        self.directory.mkdir(parents=True, exist_ok=True)
+        with open(self.directory / ".lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            fields = fn(self.read(name, decode))
+            if fields is not None and self.write(name, fields) \
+                    and name in self._seen:
+                self._seen[name] = self._stamp(name)  # not news to us
+        return fields
+
+    def changed(self, name: str) -> bool:
+        """Whether a sibling moved the record ``name`` since this store
+        last probed or updated it: one ``stat``.  A first probe of an
+        existing record is a change; :meth:`delete` forgets the name."""
+        # Unlocked: racing probes and updates can at worst cost one
+        # extra re-read; every stamp stored is of content consumed.
+        stamp = self._stamp(name)
+        if stamp is None or self._seen.get(name) == stamp:
+            return False
+        self._seen[name] = stamp
+        return True
+
+    def delete(self, name: str) -> None:
+        """Remove the record ``name`` and forget its probe state."""
+        self._seen.pop(name, None)
+        try:
+            self.path(name).unlink()
+        except OSError:
+            pass
+
+    def _stamp(self, name: str):
+        # A write renames a new inode into place, so the pair moves
+        # even when two writes share a coarse mtime tick.
+        try:
+            stat = os.stat(self.path(name))
+        except OSError:
+            return None
+        return stat.st_ino, stat.st_mtime_ns
 
 
 def save_sweep(sweep: SweepResult, path: PathLike) -> None:

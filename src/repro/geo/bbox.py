@@ -87,17 +87,6 @@ class BoundingBox:
             & (lons <= self.max_lon)
         )
 
-    def expanded(self, margin_deg: float) -> "BoundingBox":
-        """A copy grown by ``margin_deg`` degrees on every side."""
-        if margin_deg < 0:
-            raise ValueError("margin must be non-negative")
-        return BoundingBox(
-            max(-90.0, self.min_lat - margin_deg),
-            max(-180.0, self.min_lon - margin_deg),
-            min(90.0, self.max_lat + margin_deg),
-            min(180.0, self.max_lon + margin_deg),
-        )
-
     def union(self, other: "BoundingBox") -> "BoundingBox":
         """Smallest box covering both operands."""
         return BoundingBox(

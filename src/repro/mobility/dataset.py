@@ -137,12 +137,3 @@ class Dataset(Mapping[str, Trace]):
     def filter_users(self, predicate: Callable[[Trace], bool]) -> "Dataset":
         """Dataset keeping only traces for which ``predicate`` holds."""
         return Dataset({u: t for u, t in self._traces.items() if predicate(t)})
-
-    def merged_with(self, other: "Dataset") -> "Dataset":
-        """Union of two datasets with disjoint user sets."""
-        overlap = set(self._traces) & set(other._traces)
-        if overlap:
-            raise ValueError(f"user ids present in both datasets: {sorted(overlap)!r}")
-        combined = dict(self._traces)
-        combined.update(other._traces)
-        return Dataset(combined)

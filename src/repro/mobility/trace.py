@@ -206,22 +206,3 @@ class Trace:
         """Sub-trace with ``start_s <= t < end_s``."""
         mask = (self.times_s >= start_s) & (self.times_s < end_s)
         return Trace(self.user, self.times_s[mask], self.lats[mask], self.lons[mask])
-
-    @classmethod
-    def from_records(cls, records) -> "Trace":
-        """Build a trace from an iterable of :class:`TraceRecord`.
-
-        All records must share one user id.
-        """
-        records = list(records)
-        if not records:
-            raise ValueError("cannot build a trace from zero records")
-        users = {r.user for r in records}
-        if len(users) != 1:
-            raise ValueError(f"records span several users: {sorted(users)!r}")
-        return cls(
-            records[0].user,
-            [r.time_s for r in records],
-            [r.lat for r in records],
-            [r.lon for r in records],
-        )

@@ -627,8 +627,8 @@ def make_job_handlers(
         try:
             return manager.cancel(job_id, tenant=tenant).snapshot()
         except ServiceError:
-            # Cross-worker cancel: leave a marker the owning worker
-            # polls between engine jobs.
+            # Cross-worker cancel: flag the job's shared record, which
+            # the owning worker polls between engine jobs.
             snapshot = manager.request_remote_cancel(job_id, tenant=tenant)
             if snapshot is None:
                 raise

@@ -59,6 +59,18 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 _TERMINAL = ("done", "failed", "cancelled")
 
 
+def _snapshot_of(job_id: str) -> Callable[[dict], dict]:
+    """Decoder of ``job_id``'s record: its snapshot, or corrupt."""
+
+    def decode(record: dict) -> dict:
+        snapshot = record["snapshot"]
+        if snapshot["job_id"] != job_id:
+            raise ValueError("job record names another job")
+        return snapshot
+
+    return decode
+
+
 class Job:
     """One asynchronous evaluation job and its observable state.
 
@@ -71,7 +83,7 @@ class Job:
         "id", "endpoint", "body", "tenant", "status", "lock", "cancel",
         "created_at", "started_at", "finished_at", "expires_at",
         "completed", "total", "result", "error", "from_response_cache",
-        "done_event", "on_update", "cancel_marker",
+        "done_event", "on_update", "record_changed",
     )
 
     def __init__(
@@ -110,10 +122,9 @@ class Job:
         #: Manager-installed callback fired (outside :attr:`lock`)
         #: after progress updates, so a shared job store sees them.
         self.on_update: Optional[Callable[[], None]] = None
-        #: Path of the cross-process cancel-marker file (shared job
-        #: store only): a sibling worker that cannot reach this
-        #: process's :attr:`cancel` event touches this file instead.
-        self.cancel_marker = None
+        #: Manager-installed probe (shared job store only): true when
+        #: a sibling moved this job's record, i.e. flagged a cancel.
+        self.record_changed: Optional[Callable[[], bool]] = None
 
     # -- engine hook targets (called from the worker thread) -----------
     def note_batch(self, n: int) -> None:
@@ -131,22 +142,14 @@ class Job:
     def should_cancel(self) -> bool:
         """Cancellation predicate polled between engine jobs.
 
-        True once the in-process event is set *or* a sibling worker
-        left a cancel marker in the shared job store; the marker folds
-        into the event so the file is stat'ed at most until first seen.
+        True once the cancel event is set.  A sibling's cancel lands in
+        the shared record instead: when the probe (one ``stat``) says it
+        moved, re-persisting the job folds the request into the event.
         """
-        if self.cancel.is_set():
-            return True
-        marker = self.cancel_marker
-        if marker is not None:
-            try:
-                found = marker.exists()
-            except OSError:
-                found = False
-            if found:
-                self.cancel.set()
-                return True
-        return False
+        if not self.cancel.is_set() and self.record_changed is not None \
+                and self.record_changed():
+            self.on_update()
+        return self.cancel.is_set()
 
     # -- snapshots ------------------------------------------------------
     def snapshot(self, include_result: bool = True) -> dict:
@@ -220,8 +223,8 @@ class JobManager:
         is mirrored there as an atomic JSON snapshot, so a *sibling*
         pre-fork worker polled for an id it does not own can answer
         from disk (:meth:`remote_snapshot`) and request cancellation
-        via a marker file the owner polls between engine jobs
-        (:meth:`request_remote_cancel`).  Job ids are unique across
+        by flagging the record, which the owner polls between engine
+        jobs (:meth:`request_remote_cancel`).  Job ids are unique across
         workers (the instance tag folds in process identity).
     """
 
@@ -352,9 +355,9 @@ class JobManager:
                 )
             self._jobs[job.id] = job
             self._n_queued += 1
-        if self.shared_dir is not None:
-            job.cancel_marker = self._cancel_path(job.id)
+        if self._store is not None:
             job.on_update = lambda: self._persist(job)
+            job.record_changed = lambda: self._store.changed(job.id)
             self._persist(job)
         self._queue.put(job)
         return job
@@ -420,34 +423,26 @@ class JobManager:
     # ------------------------------------------------------------------
     # Shared job store (cross-process visibility)
     # ------------------------------------------------------------------
-    def _cancel_path(self, job_id: str) -> Path:
-        assert self.shared_dir is not None
-        return self.shared_dir / f"{job_id}.cancel"
-
     def _persist(self, job: Job) -> None:
         """Mirror one local job's snapshot to the shared store.
 
-        Atomic write, full result included, IO errors swallowed — a
-        failed mirror only degrades sibling workers to 404, it never
-        fails the job itself.
+        One :meth:`RecordStore.update` that first folds a sibling's
+        cancel flag into :attr:`Job.cancel`, so it is never overwritten.
+        IO errors are swallowed — a failed mirror only degrades sibling
+        workers to 404, it never fails the job itself.
         """
         if self._store is None:
             return
-        try:
-            self._store.write(
-                job.id, {"snapshot": job.snapshot(include_result=True)}
-            )
-        except (TypeError, ValueError):
-            pass
 
-    def _unlink_shared(self, job_id: str) -> None:
-        if self._store is None:
-            return
-        for path in (self._store.path(job_id), self._cancel_path(job_id)):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        def fold(snapshot: Optional[dict]) -> dict:
+            if snapshot is not None and snapshot.get("cancel_requested"):
+                job.cancel.set()
+            return {"snapshot": job.snapshot(include_result=True)}
+
+        try:
+            self._store.update(job.id, fold, _snapshot_of(job.id))
+        except (OSError, TypeError, ValueError):
+            pass
 
     def remote_snapshot(
         self, job_id: str, tenant: Optional[str] = None
@@ -463,14 +458,7 @@ class JobManager:
         """
         if self._store is None:
             return None
-
-        def decode(record: dict) -> dict:
-            snapshot = record["snapshot"]
-            if snapshot["job_id"] != job_id:
-                raise ValueError("job record names another job")
-            return snapshot
-
-        snapshot = self._store.read(job_id, decode)
+        snapshot = self._store.read(job_id, _snapshot_of(job_id))
         if snapshot is None:
             return None
         if tenant is not None and snapshot.get("tenant") != tenant:
@@ -481,7 +469,7 @@ class JobManager:
             # The owner would have purged this by now; it may have
             # exited without cleaning up.  Enforce the TTL here so
             # orphaned snapshots expire from any worker.
-            self._unlink_shared(job_id)
+            self._store.delete(job_id)
             return None
         return snapshot
 
@@ -490,22 +478,24 @@ class JobManager:
     ) -> Optional[dict]:
         """Ask a sibling worker to cancel a job it owns.
 
-        Leaves a marker file the owner's :meth:`Job.should_cancel`
-        polls between engine jobs — the cross-process twin of setting
-        the cancel event.  Returns the job's snapshot (with
-        ``cancel_requested`` already true for non-terminal jobs), or
-        ``None`` when the shared store does not know the id.
+        Flags ``cancel_requested`` in the job's record (one
+        :meth:`RecordStore.update`), which the owner's
+        :meth:`Job.should_cancel` sees between engine jobs.  Returns the
+        job's snapshot (``cancel_requested`` true unless the job is
+        terminal), or ``None`` when the shared store does not know it.
         """
         snapshot = self.remote_snapshot(job_id, tenant=tenant)
         if snapshot is None:
             return None
-        if snapshot.get("status") not in _TERMINAL:
-            try:
-                self._cancel_path(job_id).write_text("cancel\n")
-            except OSError:
-                return None
-            snapshot["cancel_requested"] = True
-        return snapshot
+
+        def flag(current: Optional[dict]) -> Optional[dict]:
+            if current is not None and \
+                    current.get("status") not in _TERMINAL:
+                return {"snapshot": {**current, "cancel_requested": True}}
+            return None
+
+        flagged = self._store.update(job_id, flag, _snapshot_of(job_id))
+        return flagged["snapshot"] if flagged is not None else snapshot
 
     # ------------------------------------------------------------------
     # Worker loop
@@ -577,7 +567,8 @@ class JobManager:
         ]
         for job_id in expired:
             del self._jobs[job_id]
-            self._unlink_shared(job_id)
+            if self._store is not None:
+                self._store.delete(job_id)
 
     def close(self, grace_s: float = 10.0) -> None:
         """Drain and stop the pool; idempotent.

@@ -35,7 +35,6 @@ sweeps run.
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 import time
 from pathlib import Path
@@ -251,6 +250,20 @@ def _scenario_list(record: dict) -> list:
     return scenarios
 
 
+def _fold_scenarios(registry: ScenarioRegistry, scenarios) -> None:
+    """Register a scenario record's registrations into ``registry``
+    (the record wins); ``None`` is an empty record.  One bad item never
+    blocks the rest."""
+    for item in scenarios or ():
+        try:
+            registry.register(ScenarioSpec.make(
+                item.get("name"), item.get("kind"),
+                item.get("params") or {}, item.get("description") or "",
+            ), replace=True)
+        except (AttributeError, TypeError, ValueError):
+            continue
+
+
 class ServiceState:
     """Everything one service instance shares across requests.
 
@@ -303,8 +316,6 @@ class ServiceState:
                         "scenarios", sharded=False)
             if self.shared_dir is not None else None
         )
-        self._scenario_store_lock = threading.Lock()
-        self._scenario_mtimes: Dict[str, int] = {}
         #: Live streaming protection sessions (``/stream/...``); window
         #: metrics of evicted/closed sessions flush to the shared
         #: directory so a drain never loses the final numbers.
@@ -340,6 +351,12 @@ class ServiceState:
         registry, created lazily and seeded with the built-ins.  One
         tenant's ``POST /datasets`` registrations are therefore
         invisible to (and un-evictable by) every other tenant.
+
+        With a ``shared_dir``, the tenant's persisted registrations (a
+        sibling worker's included) are folded in first — re-read, under
+        the store's lock, only when the store's probe (one ``stat``)
+        says the record moved.  A torn record, or one whose
+        ``scenarios`` is not a list, is quarantined and reads as empty.
         """
         tenant = _tenant_key(tenant)
         if tenant == ANONYMOUS_TENANT:
@@ -350,7 +367,12 @@ class ServiceState:
                 if registry is None:
                     registry = ScenarioRegistry()
                     self._tenant_scenarios[tenant] = registry
-        self._sync_scenarios(tenant, registry)
+        store = self._scenario_store
+        if store is not None:
+            name = self._scenario_record_name(tenant)
+            if store.changed(name):
+                store.update(name, lambda found: _fold_scenarios(
+                    registry, found), _scenario_list)
         return registry
 
     # ------------------------------------------------------------------
@@ -370,42 +392,6 @@ class ServiceState:
         digest = hashlib.sha256(tenant.encode("utf-8")).hexdigest()[:8]
         return f"{safe}-{digest}"
 
-    def _sync_scenarios(
-        self, tenant: str, registry: ScenarioRegistry
-    ) -> None:
-        """Fold a sibling worker's persisted registrations into ``registry``.
-
-        Cheap on the hot path: one ``stat`` per lookup; the file is only
-        re-read when its mtime moved (a sibling registered something).
-        Torn files, and records whose ``scenarios`` is not a list, are
-        quarantined and read as empty — a bad write never poisons the
-        registry.
-        """
-        if self._scenario_store is None:
-            return
-        name = self._scenario_record_name(tenant)
-        try:
-            mtime_ns = os.stat(self._scenario_store.path(name)).st_mtime_ns
-        except OSError:
-            return
-        with self._scenario_store_lock:
-            if self._scenario_mtimes.get(tenant) == mtime_ns:
-                return
-            scenarios = self._scenario_store.read(name, _scenario_list)
-            self._scenario_mtimes[tenant] = mtime_ns
-        for item in scenarios or ():
-            if not isinstance(item, dict):
-                continue
-            try:
-                spec = ScenarioSpec.make(
-                    item.get("name"), item.get("kind"),
-                    item.get("params") or {}, item.get("description") or "",
-                )
-                registry.register(spec, replace=True)
-            except (TypeError, ValueError):
-                # One bad record must not block the rest of the file.
-                continue
-
     def register_scenario(
         self,
         spec: ScenarioSpec,
@@ -414,31 +400,32 @@ class ServiceState:
     ) -> ScenarioRegistry:
         """Register ``spec`` in ``tenant``'s registry, persisting it.
 
-        With a ``shared_dir``, the tenant's full registration list is
-        written through as an atomic JSON record — so a registration
-        accepted by one pre-fork worker is visible to its siblings (and
-        survives restarts).  Raises :class:`ValueError` exactly as
-        :meth:`ScenarioRegistry.register` does on a conflicting name.
+        With a ``shared_dir``, one :meth:`RecordStore.update` folds the
+        tenant's persisted registrations in, registers ``spec`` and
+        writes the list back: a conflict is judged against the whole
+        pre-fork fleet and no concurrent registration is lost.  Raises
+        :class:`ValueError` as :meth:`ScenarioRegistry.register` does
+        on a conflicting name.
         """
         tenant_key = _tenant_key(tenant)
         registry = self.scenarios_for(tenant_key)
-        registry.register(spec, replace=replace)
-        if self._scenario_store is not None:
-            name = self._scenario_record_name(tenant_key)
-            with self._scenario_store_lock:
-                # Persistence is best-effort through the ``scenarios``
-                # circuit breaker: the local registry is authoritative
-                # for this worker either way.
-                if self._scenario_store.write(name, {
-                    "tenant": tenant_key,
-                    "scenarios": [s.to_jsonable() for s in registry.specs()],
-                }):
-                    try:
-                        self._scenario_mtimes[tenant_key] = os.stat(
-                            self._scenario_store.path(name)
-                        ).st_mtime_ns
-                    except OSError:
-                        pass
+        if self._scenario_store is None:
+            registry.register(spec, replace=replace)
+            return registry
+
+        def register(scenarios) -> dict:
+            _fold_scenarios(registry, scenarios)
+            registry.register(spec, replace=replace)
+            # A best-effort write (the ``scenarios`` circuit breaker):
+            # the local registry serves this worker either way.
+            return {
+                "tenant": tenant_key,
+                "scenarios": [s.to_jsonable() for s in registry.specs()],
+            }
+
+        self._scenario_store.update(
+            self._scenario_record_name(tenant_key), register, _scenario_list
+        )
         return registry
 
     def dataset_identity(

@@ -5,11 +5,14 @@ The tolerant reader / atomic writer pair (``read_eval_record`` /
 for a pre-fork worker fleet: any torn or corrupted record must read as
 a miss and be quarantined — never crash a sweep — and concurrent
 writers of the same key must never leave a reader a partial file.
+Records several writers *modify* go through ``RecordStore.update``,
+whose lock must lose no update across threads or processes.
 """
 
 import json
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,9 @@ from repro.framework import (
     save_model,
     save_sweep,
 )
+from repro.framework.store import RecordStore
+from repro.service.jobs import JobManager
+from repro.service.middleware import Response
 
 
 class TestSweepRoundTrip:
@@ -305,3 +311,142 @@ class TestConcurrentWritersUnderFaults:
             if p.suffix not in (".json", ".corrupt")
         ]
         assert leftovers == []
+
+
+def _increment(current):
+    return {"count": (current or 0) + 1}
+
+
+def _count(record):
+    return record["count"]
+
+
+_INCREMENT_PROGRAM = """
+import sys
+sys.path.insert(0, {src!r})
+from repro.framework.store import RecordStore
+
+store = RecordStore({root!r}, "counter", "test_tier", sharded=False)
+print("ready", flush=True)
+sys.stdin.readline()  # start together
+for _ in range({rounds}):
+    store.update("n", lambda c: {{"count": (c or 0) + 1}},
+                 lambda r: r["count"])
+"""
+
+
+class TestRecordStoreUpdate:
+    """``update`` is the one read-modify-write; ``changed`` the probe
+    that tells a reader a sibling moved a record."""
+
+    def test_fn_returning_none_writes_nothing(self, tmp_path):
+        store = RecordStore(tmp_path, "thing", "test_tier", sharded=False)
+        assert store.update("rec", lambda current: None) is None
+        assert not store.path("rec").exists()
+        store.write("rec", {"value": 1})
+        before = store.path("rec").read_bytes()
+        seen = []
+        assert store.update("rec", seen.append) is None
+        assert seen == [{"format_version": 1, "kind": "thing", "value": 1}]
+        assert store.path("rec").read_bytes() == before
+
+    def test_fn_raising_keeps_the_record_and_frees_the_lock(self, tmp_path):
+        store = RecordStore(tmp_path, "thing", "test_tier", sharded=False)
+        store.write("rec", {"value": 1})
+        before = store.path("rec").read_bytes()
+
+        def boom(current):
+            raise RuntimeError("refused")
+
+        with pytest.raises(RuntimeError, match="refused"):
+            store.update("rec", boom)
+        assert store.path("rec").read_bytes() == before
+        # A second update opens the lock file anew, so a still-held
+        # flock would block it.
+        done = threading.Event()
+        threading.Thread(target=lambda: (
+            store.update("rec", lambda current: {"value": 2}), done.set()
+        ), daemon=True).start()
+        assert done.wait(timeout=10.0)
+        assert store.read("rec", lambda r: r["value"]) == 2
+
+    def test_concurrent_thread_increments_are_never_lost(self, tmp_path):
+        def worker():
+            # One store per thread, as each pre-fork worker has its own.
+            store = RecordStore(tmp_path, "counter", "test_tier",
+                                sharded=False)
+            for _ in range(50):
+                store.update("n", _increment, _count)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        store = RecordStore(tmp_path, "counter", "test_tier", sharded=False)
+        assert store.read("n", _count) == 400
+
+    def test_concurrent_process_increments_are_never_lost(self, tmp_path):
+        program = _INCREMENT_PROGRAM.format(
+            src=str(Path(repro.__file__).parents[1]), root=str(tmp_path),
+            rounds=200,
+        )
+        writers = [
+            subprocess.Popen([sys.executable, "-c", program], text=True,
+                             stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+            for _ in range(3)
+        ]
+        try:
+            for writer in writers:
+                assert writer.stdout.readline() == "ready\n"
+            for writer in writers:
+                writer.stdin.write("go\n")
+                writer.stdin.flush()
+        finally:
+            for writer in writers:
+                writer.communicate(timeout=60.0)
+        assert [w.returncode for w in writers] == [0, 0, 0]
+        store = RecordStore(tmp_path, "counter", "test_tier", sharded=False)
+        assert store.read("n", _count) == 600
+
+    def test_probe_flips_once_per_sibling_write(self, tmp_path):
+        mine = RecordStore(tmp_path, "thing", "test_tier", sharded=False)
+        sibling = RecordStore(tmp_path, "thing", "test_tier", sharded=False)
+        assert not mine.changed("rec")  # a missing record never moved
+        mine.update("rec", lambda current: {"value": 1})
+        assert mine.changed("rec")  # first probe of an existing record
+        assert not mine.changed("rec")
+        for _ in range(3):
+            mine.update("rec", lambda current: {"value": current["value"] + 1})
+            assert not mine.changed("rec")
+        sibling.update("rec", lambda current: {"value": 0})
+        assert mine.changed("rec")
+        assert not mine.changed("rec")
+
+    def test_probe_forgets_purged_jobs(self, tmp_path):
+        """A long-lived daemon keeps no probe state per finished job."""
+        now = [0.0]
+        manager = JobManager(
+            execute=lambda job: (job.should_cancel(),
+                                 Response(status=200, body={}))[1],
+            workers=1, ttl_s=1.0, clock=lambda: now[0],
+            shared_dir=tmp_path,
+        )
+        try:
+            for _ in range(200):
+                job = manager.submit("sweep", {})
+                assert job.done_event.wait(timeout=10.0)
+                assert job.status == "done"
+            assert len(manager._store._seen) == 200
+            now[0] = 10.0
+            assert manager.jobs() == []
+            assert manager._store._seen == {}
+            assert list(tmp_path.glob("*.json")) == []
+        finally:
+            manager.close()

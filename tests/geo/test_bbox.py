@@ -68,21 +68,6 @@ class TestQueries:
 
 
 class TestCombinators:
-    def test_expanded(self, box):
-        bigger = box.expanded(0.5)
-        assert bigger.min_lat == pytest.approx(36.5)
-        assert bigger.max_lon == pytest.approx(-121.5)
-
-    def test_expanded_clamps_to_globe(self):
-        box = BoundingBox(89.0, 179.0, 90.0, 180.0)
-        grown = box.expanded(5.0)
-        assert grown.max_lat == 90.0
-        assert grown.max_lon == 180.0
-
-    def test_expanded_negative_rejected(self, box):
-        with pytest.raises(ValueError):
-            box.expanded(-0.1)
-
     def test_union_covers_both(self, box):
         other = BoundingBox(39.0, -121.0, 40.0, -120.0)
         u = box.union(other)

@@ -90,12 +90,3 @@ class TestFunctional:
     def test_filter_users(self, dataset):
         kept = dataset.filter_users(lambda t: t.lats[0] > 37.5)
         assert kept.users == ["b", "c"]
-
-    def test_merged_with(self, dataset):
-        extra = Dataset.from_traces([_trace("z", 40.0)])
-        merged = dataset.merged_with(extra)
-        assert merged.users == ["a", "b", "c", "z"]
-
-    def test_merged_with_overlap_rejected(self, dataset):
-        with pytest.raises(ValueError):
-            dataset.merged_with(Dataset.from_traces([_trace("a")]))

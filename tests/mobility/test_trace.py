@@ -154,19 +154,3 @@ class TestFunctionalUpdates:
     def test_slice_time_half_open(self, simple_trace):
         sub = simple_trace.slice_time(60.0, 180.0)
         assert sub.times_s.tolist() == [60.0, 120.0]
-
-    def test_from_records_round_trip(self, simple_trace):
-        rebuilt = Trace.from_records(list(simple_trace))
-        assert rebuilt == simple_trace
-
-    def test_from_records_mixed_users_rejected(self):
-        records = [
-            TraceRecord("a", 0.0, 0.0, 0.0),
-            TraceRecord("b", 1.0, 0.0, 0.0),
-        ]
-        with pytest.raises(ValueError):
-            Trace.from_records(records)
-
-    def test_from_records_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Trace.from_records([])

@@ -8,6 +8,9 @@ Two layers of coverage:
   executions through the shared result cache, and a job owned by one
   must be visible (and cancellable, and tenant-isolated) from the
   other through the shared job store;
+* **races on fleet state** — registrations and cancels from several
+  instances at once go through one locked read-modify-write, so none
+  is lost and a name conflict is decided once for the fleet;
 * **the real daemon** — one subprocess test boots
   ``serve --processes 2``, proves both workers answer, and drains the
   fleet with SIGTERM to exit 0.
@@ -22,14 +25,17 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.scenarios import ScenarioSpec
 from repro.service import ConfigService, ServiceClient, serve
 from repro.service.prefork import reuseport_available
+from repro.service.state import ServiceState
 
 SRC_ROOT = Path(repro.__file__).parents[1]
 
@@ -253,6 +259,123 @@ class TestSharedScenarioRegistry:
                 spec["name"] for spec in b.datasets()["scenarios"]
             }
             assert "local-only" not in names
+
+
+def _race(calls) -> None:
+    """Run every call on its own thread, released together and switched
+    between often, so unlocked read-modify-writes interleave."""
+    barrier = threading.Barrier(len(calls))
+
+    def run(call):
+        barrier.wait()
+        call()
+
+    threads = [threading.Thread(target=run, args=(c,)) for c in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+class TestFleetStateRaces:
+    """Registrations and cancels arriving at several workers at once."""
+
+    def test_concurrent_distinct_registrations_are_all_kept(self, tmp_path):
+        wanted = {f"fleet-{i}-{j}" for i in range(4) for j in range(25)}
+        # Three trials: one race need not lose a write every time.
+        for trial in range(3):
+            shared = tmp_path / f"trial-{trial}"
+            states = [ServiceState(shared_dir=shared) for _ in range(4)]
+            try:
+                _race([
+                    lambda state=state, name=f"fleet-{i}-{j}":
+                        state.register_scenario(
+                            ScenarioSpec.make(name, "taxi", {"users": 3}),
+                            tenant="acme",
+                        )
+                    for i, state in enumerate(states) for j in range(25)
+                ])
+            finally:
+                for state in states:
+                    state.close()
+            fresh = ServiceState(shared_dir=shared)
+            try:
+                names = set(fresh.scenarios_for("acme").names())
+            finally:
+                fresh.close()
+            assert wanted - names == set(), f"trial {trial}"
+
+    def test_a_conflicting_name_is_accepted_once_for_the_fleet(
+        self, tmp_path
+    ):
+        states = [ServiceState(shared_dir=tmp_path) for _ in range(2)]
+        accepted = {}
+        lock = threading.Lock()
+
+        def register(state, name, users):
+            spec = ScenarioSpec.make(name, "taxi", {"users": users})
+            try:
+                state.register_scenario(spec)
+            except ValueError:
+                return
+            with lock:
+                accepted.setdefault(name, []).append(spec)
+
+        try:
+            _race([
+                lambda state=state, name=f"shared-{j}", users=3 + i:
+                    register(state, name, users)
+                for i, state in enumerate(states) for j in range(25)
+            ])
+        finally:
+            for state in states:
+                state.close()
+        assert sum(len(specs) for specs in accepted.values()) == 25
+        fresh = ServiceState(shared_dir=tmp_path)
+        try:
+            registry = fresh.scenarios_for(None)
+            for name, [spec] in accepted.items():
+                assert registry.get(name) == spec
+        finally:
+            fresh.close()
+
+    def test_sibling_cancel_of_a_queued_job_lands_in_its_record(
+        self, tmp_path
+    ):
+        owner = _worker(tmp_path)
+        sibling = _worker(tmp_path)
+        jobs_dir = tmp_path / "jobs"
+        try:
+            with ServiceClient(owner) as client, \
+                    ServiceClient(sibling) as remote:
+                # The owner's one worker is busy, so the next job waits.
+                busy = client.submit("sweep", {
+                    "dataset": {"workload": "taxi", "users": 6,
+                                "seed": 9},
+                    "points": 20, "replications": 3,
+                })
+                queued = client.submit("sweep", SWEEP_BODY)
+                answer = remote.cancel(queued["job_id"])
+                assert answer["status"] == "queued"
+                assert answer["cancel_requested"] is True
+                snapshot = sibling.jobs.remote_snapshot(queued["job_id"])
+                assert snapshot["cancel_requested"] is True
+                assert list(jobs_dir.glob("*.cancel")) == []
+                client.cancel(busy["job_id"])
+                final = client.wait(queued["job_id"], timeout_s=60.0)
+                client.wait(busy["job_id"], timeout_s=60.0)
+            assert final["status"] == "cancelled"
+            assert final["cancel_requested"] is True
+            assert list(jobs_dir.glob("*.cancel")) == []
+        finally:
+            owner.close(grace_s=5.0)
+            sibling.close(grace_s=5.0)
 
 
 class TestServeGuards:

@@ -366,12 +366,12 @@ class TestOpenLppmRegistry:
 
     def test_stat_permission_error_is_400_not_404(self, fresh_client,
                                                   monkeypatch, tmp_path):
-        import repro.service.state as state_module
+        import os
 
         path = tmp_path / "fleet.csv"
         path.write_text("user,time_s,lat,lon\n")
         monkeypatch.setattr(
-            state_module.os, "stat",
+            os, "stat",
             lambda p: (_ for _ in ()).throw(PermissionError(13, "denied", p)),
         )
         with pytest.raises(ServiceClientError) as excinfo:

@@ -28,7 +28,11 @@ two extra steps prove the fleet behaves like one service:
    by a *different* worker from the shared result cache (zero new
    engine executions, bit-identical body), and a job submitted to one
    worker is polled to ``done`` through another via the shared job
-   store.
+   store;
+9. **fleet registry** — eight ``POST /datasets`` registrations, each
+   over a fresh connection, are listed by ``GET /datasets`` on two
+   distinct workers, and a ``{"scenario": ...}`` sweep is served by a
+   worker that did not register that name.
 
 With ``--fault-spec {worker-crash,disk-full}`` the tool runs a *chaos*
 profile instead: the daemon boots with injected faults and the steps
@@ -476,6 +480,49 @@ def main() -> int:
             }
             print(f"cross-worker jobs: submitted on pid {owner_pid}, "
                   f"polled to done via pid {remote_poll_pid}")
+
+            # Registry: registrations scatter over the workers; every
+            # worker must list all of them, and a worker that did not
+            # take a registration must still evaluate the name.
+            registered_by = {}
+            for i in range(8):
+                name = f"smoke-fleet-{i}"
+                client.register_dataset(name, "taxi",
+                                        {"users": 3, "seed": 80 + i})
+                registered_by[name] = client.last_headers.get(
+                    "X-Worker-Pid")
+            listed_by = set()
+            deadline = time.monotonic() + 30.0
+            while len(listed_by) < 2 and time.monotonic() < deadline:
+                names = {spec["name"]
+                         for spec in client.datasets()["scenarios"]}
+                if set(registered_by) <= names:
+                    listed_by.add(client.last_headers.get("X-Worker-Pid"))
+            assert len(listed_by) >= 2, (
+                f"all 8 registrations listed by only {sorted(listed_by)}"
+            )
+            name = "smoke-fleet-0"
+            served_by = None
+            deadline = time.monotonic() + 60.0
+            while served_by is None and time.monotonic() < deadline:
+                result = client.sweep({"scenario": name},
+                                      points=2, replications=1)
+                pid = client.last_headers.get("X-Worker-Pid")
+                if pid != registered_by[name]:
+                    assert len(result["points"]) == 2, result
+                    served_by = pid
+            assert served_by is not None, (
+                f"no worker but pid {registered_by[name]} swept {name!r}"
+            )
+            summary["steps"]["fleet_registry"] = {
+                "ok": True, "registered": len(registered_by),
+                "listed_by": sorted(listed_by),
+                "registered_on": registered_by[name],
+                "swept_by": served_by,
+            }
+            print(f"fleet registry: 8 registrations listed by pids "
+                  f"{sorted(listed_by)}; {name!r} registered on pid "
+                  f"{registered_by[name]}, swept by pid {served_by}")
 
         # -- 3.7 stream replay over real sockets ----------------------
         # Single-process only: a live session is worker-local state,
