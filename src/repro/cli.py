@@ -60,6 +60,7 @@ from .report import (
     sweep_table,
 )
 from .scenarios import SCENARIO_KINDS, ScenarioSpec, default_registry
+from .service.handlers import SCHEMAS
 
 __all__ = ["main", "build_parser"]
 
@@ -102,6 +103,27 @@ def _add_engine_options(cmd: argparse.ArgumentParser) -> None:
     )
 
 
+#: Help of the options whose defaults the service's request schemas own.
+_SCHEMA_OPTIONS = {
+    "lppm": "mechanism name",
+    "param": "the mechanism's parameter value",
+    "seed": "protection seed",
+    "points": "sweep resolution",
+    "replications": "seeds per point",
+}
+
+
+def _add_schema_options(cmd: argparse.ArgumentParser, endpoint: str,
+                        *names: str) -> None:
+    """Options defaulting to what ``endpoint``'s schema fills in."""
+    for name in names:
+        field = SCHEMAS[endpoint][name]
+        kind = ({"choices": available_lppms()} if name == "lppm"
+                else {"type": field.type})
+        cmd.add_argument(f"--{name}", default=field.default, **kind,
+                         help=f"{_SCHEMA_OPTIONS[name]} (default: %(default)s)")
+
+
 def _engine_from(args: argparse.Namespace) -> EvaluationEngine:
     return EvaluationEngine(
         engine=args.engine, jobs=args.jobs, cache_dir=args.cache_dir
@@ -131,20 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
     prot = sub.add_parser("protect", help="apply an LPPM to a CSV dataset")
     prot.add_argument("input", help="CSV dataset to protect")
     prot.add_argument("output", help="CSV file to write")
-    prot.add_argument(
-        "--lppm", choices=available_lppms(), default="geo_ind",
-        help="mechanism name (default: geo_ind)",
-    )
-    prot.add_argument(
-        "--param", type=float, default=0.01,
-        help="the mechanism's parameter value (default: 0.01)",
-    )
-    prot.add_argument("--seed", type=int, default=0, help="protection seed")
+    _add_schema_options(prot, "POST /protect", "lppm", "param", "seed")
 
     sweep = sub.add_parser("sweep", help="sweep epsilon and print the curves")
     sweep.add_argument("input", help="CSV dataset to analyse")
-    sweep.add_argument("--points", type=int, default=10, help="sweep resolution")
-    sweep.add_argument("--replications", type=int, default=2, help="seeds per point")
+    _add_schema_options(sweep, "POST /sweep", "points", "replications")
     sweep.add_argument("--csv", help="also write the sweep to this CSV file")
     _add_engine_options(sweep)
 
@@ -160,8 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="utility objective: area coverage at least this "
              "(default: 0.8, the paper's example)",
     )
-    conf.add_argument("--points", type=int, default=10, help="sweep resolution")
-    conf.add_argument("--replications", type=int, default=2, help="seeds per point")
+    _add_schema_options(conf, "POST /configure", "points", "replications")
     _add_engine_options(conf)
 
     attack = sub.add_parser("attack", help="run the POI attack on a dataset")
@@ -312,15 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="session name prefix (default: the input "
                              "file's stem); each user streams as "
                              "<prefix>.<user>")
-    stream.add_argument("--lppm", choices=available_lppms(),
-                        default="geo_ind",
-                        help="mechanism protecting the stream "
-                             "(default: geo_ind)")
-    stream.add_argument("--param", type=float, default=0.01,
-                        help="the mechanism's parameter value "
-                             "(default: 0.01)")
-    stream.add_argument("--seed", type=int, default=0,
-                        help="protection seed (default: 0)")
+    _add_schema_options(stream, "POST /stream/<session>",
+                        "lppm", "param", "seed")
     stream.add_argument("--window", type=float, default=None, metavar="S",
                         help="sliding metrics window in seconds "
                              "(default: the server's, 3600)")
@@ -423,6 +428,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_configure(args: argparse.Namespace) -> int:
+    objectives = [
+        Objective("privacy", "<=", args.max_privacy),
+        Objective("utility", ">=", args.min_utility),
+    ]
     dataset = read_csv(args.input)
     configurator = Configurator(
         geo_ind_system(), dataset,
@@ -431,10 +440,6 @@ def _cmd_configure(args: argparse.Namespace) -> int:
     )
     model = configurator.fit()
     print(model_summary(model))
-    objectives = [
-        Objective("privacy", "<=", args.max_privacy),
-        Objective("utility", ">=", args.min_utility),
-    ]
     recommendation = configurator.recommend(objectives)
     print()
     print(recommendation_summary(recommendation))

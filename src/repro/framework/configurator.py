@@ -15,6 +15,7 @@ rest of the budget on utility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -46,6 +47,8 @@ class Objective:
             raise ValueError(f"kind must be one of {_KINDS}")
         if self.op not in _OPS:
             raise ValueError(f"op must be one of {_OPS}")
+        if not math.isfinite(self.target):
+            raise ValueError(f"target must be a finite number, got {self.target!r}")
 
     def satisfied_by(self, value: float, tol: float = 0.0) -> bool:
         """Whether a measured metric value meets the objective."""

@@ -28,7 +28,7 @@ from typing import (
 import numpy as np
 
 from ..geo import LatLon, LocalProjection
-from ..mobility import Dataset, Trace, TraceBlock
+from ..mobility import Dataset, Trace, TraceBlock, update_columns
 
 __all__ = [
     "LPPM",
@@ -337,12 +337,14 @@ class OnlineProtector:
         """Accept a chunk of ``(time_s, lat, lon)`` updates at once.
 
         Returns one entry per record, each what :meth:`push` would
-        have returned for it.  The whole chunk is validated before any
-        state changes: a bad record raises :class:`ValueError` with
-        nothing accepted and no randomness spent, so a retried chunk
-        releases exactly what a clean first try would have.
+        have returned for it.  The whole chunk is validated by
+        :func:`~repro.mobility.update_columns` (once: an already
+        validated chunk passes straight through) before any state
+        changes: a bad record raises :class:`ValueError` with nothing
+        accepted and no randomness spent, so a retried chunk releases
+        exactly what a clean first try would have.
         """
-        times, lats, lons = _update_columns(records)
+        times, lats, lons = update_columns(records)
         if not times.size:
             return []
         self._times.extend(times.tolist())
@@ -402,34 +404,6 @@ class OnlineProtector:
 def _release_rows(times, lats, lons) -> List[Tuple[float, float, float]]:
     """A chunk's ``(time_s, lat, lon)`` columns as release tuples."""
     return list(zip(times.tolist(), lats.tolist(), lons.tolist()))
-
-
-def _update_columns(records) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated ``(times, lats, lons)`` float columns of a chunk.
-
-    Raises :class:`ValueError` for the first bad record, with the
-    message record-by-record validation gave it: coordinates outside
-    valid ranges (which includes a NaN coordinate), then non-finite
-    values.
-    """
-    rows = np.asarray(records, dtype=float)
-    if rows.shape == (0,):
-        rows = rows.reshape(0, 3)
-    if rows.ndim != 2 or rows.shape[1] != 3:
-        raise ValueError("location updates must be (time_s, lat, lon) triples")
-    times, lats, lons = rows.T
-    out_of_range = ~((np.abs(lats) <= 90.0) & (np.abs(lons) <= 180.0))
-    non_finite = ~np.isfinite(rows).all(axis=1)
-    bad = np.flatnonzero(out_of_range | non_finite)
-    if bad.size:
-        i = bad[0]
-        if out_of_range[i]:
-            raise ValueError(
-                "coordinates outside valid lat/lon ranges: "
-                f"{float(lats[i])}, {float(lons[i])}"
-            )
-        raise ValueError("location updates must be finite numbers")
-    return times, lats, lons
 
 
 class _AnchoredOnline(OnlineProtector):

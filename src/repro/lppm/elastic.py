@@ -95,8 +95,8 @@ class ElasticGeoIndistinguishability(LPPM):
         cell_size_m: float = 400.0,
         density: Optional[DensityMap] = None,
     ) -> None:
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not 0.0 <= exponent <= 1.0:
             raise ValueError("exponent must be in [0, 1]")
         if max_scale < 1.0:

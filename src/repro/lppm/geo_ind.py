@@ -112,8 +112,8 @@ class GeoIndistinguishability(LPPM):
     """
 
     def __init__(self, epsilon: float) -> None:
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         self.epsilon = float(epsilon)
 
     _online_cls = _GeoIndOnline

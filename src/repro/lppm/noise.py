@@ -42,8 +42,8 @@ class GaussianPerturbation(LPPM):
     _online_cls = _GaussianOnline
 
     def __init__(self, sigma_m: float) -> None:
-        if sigma_m <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < sigma_m < np.inf:
+            raise ValueError("sigma must be positive and finite")
         self.sigma_m = float(sigma_m)
 
     def params(self) -> Mapping[str, float]:
@@ -86,8 +86,8 @@ class UniformDiskNoise(LPPM):
     _online_cls = _UniformDiskOnline
 
     def __init__(self, radius_m: float) -> None:
-        if radius_m <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < radius_m < np.inf:
+            raise ValueError("radius must be positive and finite")
         self.radius_m = float(radius_m)
 
     def params(self) -> Mapping[str, float]:

@@ -102,8 +102,8 @@ class Promesse(LPPM):
     """
 
     def __init__(self, alpha_m: float) -> None:
-        if alpha_m <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < alpha_m < np.inf:
+            raise ValueError("alpha must be positive and finite")
         self.alpha_m = float(alpha_m)
 
     def params(self) -> Mapping[str, float]:

@@ -56,8 +56,8 @@ class GridRounding(LPPM):
     _online_cls = _RoundingOnline
 
     def __init__(self, cell_size_m: float, ref: Optional[LatLon] = None) -> None:
-        if cell_size_m <= 0:
-            raise ValueError("cell size must be positive")
+        if not 0 < cell_size_m < np.inf:
+            raise ValueError("cell size must be positive and finite")
         self.cell_size_m = float(cell_size_m)
         self.ref = ref
         # A fixed reference fully determines the grid, so build it once

@@ -122,8 +122,8 @@ class TimePerturbation(LPPM):
     """
 
     def __init__(self, sigma_s: float) -> None:
-        if sigma_s < 0:
-            raise ValueError("sigma must be non-negative")
+        if not 0 <= sigma_s < np.inf:
+            raise ValueError("sigma must be non-negative and finite")
         self.sigma_s = float(sigma_s)
 
     def params(self) -> Mapping[str, float]:

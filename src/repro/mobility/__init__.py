@@ -11,12 +11,15 @@ from .filters import (
     split_by_gap,
 )
 from .io import (
+    LocationUpdates,
+    dataset_from_rows,
     iter_cabspotting_records,
     iter_csv_records,
     iter_geolife_records,
     read_cabspotting,
     read_csv,
     read_geolife,
+    update_columns,
     write_cabspotting,
     write_csv,
     write_geolife,
@@ -30,6 +33,9 @@ __all__ = [
     "TraceRecord",
     "TraceBlock",
     "Dataset",
+    "LocationUpdates",
+    "update_columns",
+    "dataset_from_rows",
     "iter_csv_records",
     "read_csv",
     "write_csv",

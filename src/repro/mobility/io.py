@@ -32,6 +32,11 @@ parsed records, never by file size — and share one validation pass:
   The record iterators do **not** sort or dedupe — live consumers get
   the raw (validated) stream.
 
+Records that arrive in memory rather than from a file (a live chunk, a
+service request's inline rows) are checked once, vectorised, by
+:func:`update_columns`, and :func:`dataset_from_rows` gives inline rows
+the same sort and duplicate collapse a CSV gets.
+
 The experiments in this reproduction run on synthetic data (see
 ``repro.synth`` and DESIGN.md), but these parsers let anyone with the
 real datasets re-run every experiment unchanged.
@@ -43,7 +48,7 @@ import csv
 import datetime as _dt
 import math
 from pathlib import Path
-from typing import Iterator, List, Tuple, Union
+from typing import Iterator, List, NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -51,6 +56,9 @@ from .dataset import Dataset
 from .trace import Trace
 
 __all__ = [
+    "LocationUpdates",
+    "update_columns",
+    "dataset_from_rows",
     "iter_csv_records",
     "read_csv",
     "write_csv",
@@ -154,6 +162,57 @@ class _TraceBuilder:
         return Trace(self.user, times, lats, lons)
 
 
+class LocationUpdates(NamedTuple):
+    """Validated ``(times, lats, lons)`` columns of a chunk, which
+    :func:`update_columns` passes straight through: no second check."""
+
+    times: np.ndarray
+    lats: np.ndarray
+    lons: np.ndarray
+
+
+def _is_triple(row) -> bool:
+    try:
+        return np.asarray(row, dtype=float).shape == (3,)
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def update_columns(records) -> LocationUpdates:
+    """The one validity check of in-memory ``(time_s, lat, lon)`` records.
+
+    Vectorised: finite numbers, |lat| <= 90 and |lon| <= 180.  Raises
+    :class:`ValueError` naming the first bad record as ``records[i]``:
+    a record that is not three numbers, then coordinates outside valid
+    ranges (which includes a NaN coordinate), then non-finite values.
+    """
+    if isinstance(records, LocationUpdates):
+        return records
+    records = list(records)
+    try:
+        rows = np.asarray(records, dtype=float)
+        if records and rows.shape != (len(records), 3):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        i = next((i for i, row in enumerate(records) if not _is_triple(row)), 0)
+        raise ValueError(f"records[{i}]: location updates must be "
+                         "(time_s, lat, lon) number triples") from None
+    rows = rows.reshape(-1, 3)
+    times, lats, lons = rows.T
+    out_of_range = ~((np.abs(lats) <= 90.0) & (np.abs(lons) <= 180.0))
+    non_finite = ~np.isfinite(rows).all(axis=1)
+    bad = np.flatnonzero(out_of_range | non_finite)
+    if bad.size:
+        i = bad[0]
+        if out_of_range[i]:
+            raise ValueError(
+                f"records[{i}]: coordinates outside valid lat/lon ranges: "
+                f"{float(lats[i])}, {float(lons[i])}"
+            )
+        raise ValueError(f"records[{i}]: location updates must be finite numbers")
+    return LocationUpdates(times, lats, lons)
+
+
 def _dataset_from_records(
     records: Iterator[Record], newest_first: bool = False
 ) -> Dataset:
@@ -231,6 +290,26 @@ def iter_csv_records(path: PathLike) -> Iterator[Record]:
 def read_csv(path: PathLike) -> Dataset:
     """Read a dataset written by :func:`write_csv` (streaming)."""
     return _dataset_from_records(iter_csv_records(path))
+
+
+def dataset_from_rows(rows) -> Dataset:
+    """Build a dataset from in-memory ``[user, time_s, lat, lon]`` rows.
+
+    The rows get exactly what a CSV's get from :func:`read_csv`: the
+    :func:`update_columns` check, then the stable sort and duplicate-
+    timestamp collapse.  Errors name the first bad row as ``records[i]``.
+    """
+    if not isinstance(rows, list) or not rows:
+        raise ValueError("records must be a non-empty list")
+    for i, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)) or len(row) != 4 \
+                or not isinstance(row[0], str) or not row[0]:
+            raise ValueError(f"records[{i}]: expected [user, time_s, lat, lon] "
+                             "with a non-empty user string")
+    columns = update_columns([row[1:] for row in rows])
+    return _dataset_from_records(zip(
+        [row[0] for row in rows], *(c.tolist() for c in columns)
+    ))
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,9 @@ Two transports behind one interface:
   only), for talking to a daemon started with ``repro-lppm serve``.
 
 Both raise :class:`ServiceClientError` on non-2xx responses, carrying
-the service's typed error payload (code, message, details).
+the service's typed error payload (code, message, details).  Optional
+arguments left at ``None`` are omitted from the request body, so the
+server's schema fills them in.
 
 Async jobs use the same interface: ``submit`` enqueues a sweep,
 configure or recommend body and returns immediately with a job id;
@@ -42,6 +44,12 @@ _TRANSIENT_STATUSES = (429, 503)
 #: Methods safe to retry after a *transport* failure, where the
 #: request may or may not have reached the server.
 _IDEMPOTENT_METHODS = ("GET", "DELETE")
+
+
+def _body(**fields) -> dict:
+    """A request body of the fields the caller set: the endpoint's
+    schema on the server owns every default."""
+    return {name: value for name, value in fields.items() if value is not None}
 
 
 def _retry_after_s(headers) -> Optional[float]:
@@ -91,49 +99,44 @@ class _BaseClient:
     def protect(
         self,
         dataset: dict,
-        lppm: str = "geo_ind",
-        param: float = 0.01,
-        seed: int = 0,
-        include_records: bool = True,
+        lppm: Optional[str] = None,
+        param: Optional[float] = None,
+        seed: Optional[int] = None,
+        include_records: Optional[bool] = None,
     ) -> dict:
         """Apply an LPPM to a dataset; returns the protected records."""
-        return self._request("POST", "/protect", {
-            "dataset": dataset, "lppm": lppm, "param": param,
-            "seed": seed, "include_records": include_records,
-        })
+        return self._request("POST", "/protect", _body(
+            dataset=dataset, lppm=lppm, param=param, seed=seed,
+            include_records=include_records,
+        ))
 
-    def sweep(
-        self, dataset: dict, points: int = 10, replications: int = 2
-    ) -> dict:
+    def sweep(self, dataset: dict, points: Optional[int] = None,
+              replications: Optional[int] = None) -> dict:
         """The offline parameter sweep (the data behind Figure 1)."""
-        return self._request("POST", "/sweep", {
-            "dataset": dataset, "points": points,
-            "replications": replications,
-        })
+        return self._request("POST", "/sweep", _body(
+            dataset=dataset, points=points, replications=replications,
+        ))
 
-    def configure(
-        self, dataset: dict, points: int = 10, replications: int = 2
-    ) -> dict:
+    def configure(self, dataset: dict, points: Optional[int] = None,
+                  replications: Optional[int] = None) -> dict:
         """Sweep + fitted equation-(2) model coefficients."""
-        return self._request("POST", "/configure", {
-            "dataset": dataset, "points": points,
-            "replications": replications,
-        })
+        return self._request("POST", "/configure", _body(
+            dataset=dataset, points=points, replications=replications,
+        ))
 
     def recommend(
         self,
         dataset: dict,
         objectives: List[dict],
-        points: int = 10,
-        replications: int = 2,
-        policy: str = "max_utility",
+        points: Optional[int] = None,
+        replications: Optional[int] = None,
+        policy: Optional[str] = None,
     ) -> dict:
         """Invert the fitted model at designer objectives."""
-        return self._request("POST", "/recommend", {
-            "dataset": dataset, "objectives": objectives,
-            "points": points, "replications": replications,
-            "policy": policy,
-        })
+        return self._request("POST", "/recommend", _body(
+            dataset=dataset, objectives=objectives, points=points,
+            replications=replications, policy=policy,
+        ))
 
     # -- scenario registry ---------------------------------------------
     def datasets(self) -> dict:
@@ -145,8 +148,8 @@ class _BaseClient:
         name: str,
         kind: str,
         params: Optional[dict] = None,
-        description: str = "",
-        replace: bool = False,
+        description: Optional[str] = None,
+        replace: Optional[bool] = None,
     ) -> dict:
         """Register a named scenario on the service (``POST /datasets``).
 
@@ -156,24 +159,19 @@ class _BaseClient:
         server-side ``path``).  Once registered, evaluation endpoints
         accept ``{"scenario": name, ...overrides}`` dataset specs.
         """
-        body = {
-            "name": name, "kind": kind,
-            "description": description, "replace": replace,
-        }
-        if params is not None:
-            # Omitted, not null: the schema's dict field (rightly)
-            # rejects an explicit JSON null.
-            body["params"] = params
-        return self._request("POST", "/datasets", body)
+        return self._request("POST", "/datasets", _body(
+            name=name, kind=kind, params=params, description=description,
+            replace=replace,
+        ))
 
     # -- streaming sessions --------------------------------------------
     def stream_update(
         self,
         session: str,
         records: List[list],
-        lppm: str = "geo_ind",
-        param: float = 0.01,
-        seed: int = 0,
+        lppm: Optional[str] = None,
+        param: Optional[float] = None,
+        seed: Optional[int] = None,
         user: Optional[str] = None,
         window_s: Optional[float] = None,
     ) -> dict:
@@ -183,14 +181,10 @@ class _BaseClient:
         Configuration rides with every chunk — send the same values on
         each call, as changing them mid-stream is a typed 409.
         """
-        body: dict = {
-            "records": records, "lppm": lppm, "param": param, "seed": seed,
-        }
-        if user is not None:
-            body["user"] = user
-        if window_s is not None:
-            body["window_s"] = window_s
-        return self._request("POST", f"/stream/{session}", body)
+        return self._request("POST", f"/stream/{session}", _body(
+            records=records, lppm=lppm, param=param, seed=seed, user=user,
+            window_s=window_s,
+        ))
 
     def stream_metrics(self, session: str) -> dict:
         """The session's sliding-window privacy/utility metrics."""

@@ -16,7 +16,6 @@ headline claim.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from typing import Callable, Dict, List, Mapping
@@ -24,9 +23,11 @@ from typing import Callable, Dict, List, Mapping
 from .. import __version__
 from ..framework import Objective
 from ..lppm import available_lppms, lppm_class, primary_param
+from ..mobility import update_columns
 from ..resilience.breaker import default_registry
 from ..resilience.faults import fire as _fire_fault
 from ..scenarios import SCENARIO_KINDS, ScenarioSpec
+from ..streaming import StreamConflict
 from .jobs import JOB_ENDPOINTS, JobManager
 from .middleware import (
     ANONYMOUS_TENANT,
@@ -391,47 +392,21 @@ def make_handlers(
             )
         return name
 
-    def _stream_records_of(body: dict) -> list:
-        records = body["records"]
-        parsed = []
-        for i, row in enumerate(records):
-            if not isinstance(row, list) or len(row) != 3:
-                raise ServiceError(
-                    400, "invalid-records",
-                    f"records[{i}]: expected [time_s, lat, lon]",
-                )
-            try:
-                t, lat, lon = (float(v) for v in row)
-            except (TypeError, ValueError):
-                raise ServiceError(
-                    400, "invalid-records",
-                    f"records[{i}]: time/lat/lon must be numbers",
-                )
-            if not all(map(math.isfinite, (t, lat, lon))) \
-                    or abs(lat) > 90.0 or abs(lon) > 180.0:
-                raise ServiceError(
-                    400, "invalid-records",
-                    f"records[{i}]: values must be finite with "
-                    "lat in [-90, 90] and lon in [-180, 180]",
-                )
-            parsed.append((t, lat, lon))
-        return parsed
-
     def stream_update(request: Request) -> dict:
         body = request.body
         name = _stream_session_of(request)
-        records = _stream_records_of(body)
+        # Validated here, before the session manager sees the chunk: a
+        # rejected chunk opens no session and spends no draws.
+        try:
+            records = update_columns(body["records"])
+        except ValueError as exc:
+            raise ServiceError(400, "invalid-records", str(exc))
         lppm, _ = _lppm_of(body)
-        window_s = body["window_s"]
-        if window_s is not None and window_s <= 0:
-            raise ServiceError(
-                400, "invalid-request", "window_s must be positive"
-            )
         try:
             session, released = state.streaming.update(
                 tenant_of(request), name, records,
                 lppm=lppm, user=body["user"], seed=body["seed"],
-                window_s=window_s,
+                window_s=body["window_s"],
             )
         except RuntimeError:
             raise ServiceError(
@@ -440,14 +415,14 @@ def make_handlers(
                 "fresh instance",
                 headers={"Retry-After": "1"},
             )
-        except ValueError as exc:
-            # Records were validated above, so a ValueError here is the
-            # session manager refusing a conflicting configuration.
+        except StreamConflict as exc:
             raise ServiceError(409, "stream-conflict", str(exc))
+        except ValueError as exc:
+            raise ServiceError(400, "invalid-request", str(exc))
         return {
             "session": name,
             "tenant": tenant_of(request),
-            "accepted": len(records),
+            "accepted": len(released),
             "released": [
                 list(update) if update is not None else None
                 for update in released

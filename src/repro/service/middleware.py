@@ -955,8 +955,9 @@ class Field:
     """Declarative spec of one JSON body field.
 
     ``type`` is the Python type the value must be an instance of after
-    coercion (ints are accepted where floats are declared); ``choices``
-    restricts values; ``low``/``high`` bound numbers inclusively.
+    coercion (ints are accepted where floats are declared, NaN and
+    ±Infinity are not); ``choices`` restricts values; ``low``/``high``
+    bound numbers inclusively.
     """
 
     type: type = object
@@ -981,6 +982,9 @@ class Field:
                 f"{name}: expected {self.type.__name__}, "
                 f"got {type(value).__name__}"
             )
+            return value
+        if self.type is float and not math.isfinite(value):
+            problems.append(f"{name}: must be a finite number, got {value!r}")
             return value
         if self.choices is not None and value not in self.choices:
             problems.append(

@@ -45,7 +45,7 @@ from ..framework import Configurator, geo_ind_system
 from ..framework.spec import SystemDefinition
 from ..framework.store import RecordStore
 from ..lru import BoundedLRU
-from ..mobility import Dataset, Trace
+from ..mobility import Dataset, dataset_from_rows
 from ..scenarios import ScenarioRegistry, ScenarioSpec
 from ..streaming import SessionManager
 from .middleware import ANONYMOUS_TENANT, ServiceError, canonical_body_key
@@ -190,49 +190,6 @@ def _resolve(
             400, "invalid-dataset",
             f"scenario {scenario.name!r} failed to resolve: {exc}",
         )
-
-
-def _records_dataset(records) -> Dataset:
-    """The dataset of an inline ``{"records": [...]}`` spec."""
-    if not isinstance(records, list) or not records:
-        raise ServiceError(
-            400, "invalid-dataset", "records must be a non-empty list"
-        )
-    by_user: Dict[str, list] = {}
-    for i, row in enumerate(records):
-        if not isinstance(row, list) or len(row) != 4:
-            raise ServiceError(
-                400, "invalid-dataset",
-                f"records[{i}]: expected [user, time_s, lat, lon]",
-            )
-        user, t, lat, lon = row
-        if not isinstance(user, str) or not user:
-            raise ServiceError(
-                400, "invalid-dataset",
-                f"records[{i}]: user must be a non-empty string",
-            )
-        try:
-            by_user.setdefault(user, []).append(
-                (float(t), float(lat), float(lon))
-            )
-        except (TypeError, ValueError):
-            raise ServiceError(
-                400, "invalid-dataset",
-                f"records[{i}]: time/lat/lon must be numbers",
-            )
-    try:
-        traces = [
-            Trace(
-                user,
-                [r[0] for r in rows],
-                [r[1] for r in rows],
-                [r[2] for r in rows],
-            )
-            for user, rows in by_user.items()
-        ]
-        return Dataset.from_traces(traces)
-    except ValueError as exc:
-        raise ServiceError(400, "invalid-dataset", str(exc))
 
 
 def _tenant_key(tenant: Optional[str]) -> str:
@@ -460,7 +417,10 @@ class ServiceState:
             file_backed = False
 
             def resolve() -> Dataset:
-                return _records_dataset(spec["records"])
+                try:
+                    return dataset_from_rows(spec["records"])
+                except ValueError as exc:
+                    raise ServiceError(400, "invalid-dataset", str(exc))
         else:
             digest = _fingerprint_of(scenario)
             file_backed = scenario.is_file_backed
@@ -604,24 +564,6 @@ class ServiceState:
         """Named tenants with a private scenario registry."""
         with self._registry_lock:
             return len(self._tenant_scenarios)
-
-    def clear_registries(self) -> None:
-        """Drop every registered dataset and fitted configurator.
-
-        Scenario *specs* stay registered (they are configuration, not
-        cache) but their resolved-dataset LRU is dropped with the rest.
-        The engine and its caches are untouched: a re-fit after this
-        call re-reads cached evaluations (benchmarks use exactly that
-        to isolate the warm-engine tier).
-        """
-        with self._registry_lock:
-            self._datasets.clear()
-            self._configurators.clear()
-            self._fit_locks.clear()
-            tenant_registries = list(self._tenant_scenarios.values())
-        self.scenarios.clear_cache()
-        for registry in tenant_registries:
-            registry.clear_cache()
 
     def close(self, timeout_s: Optional[float] = None) -> None:
         """Release the engine's backend resources; idempotent.

@@ -13,11 +13,13 @@ from .session import (
     DEFAULT_WINDOW_S,
     ProtectionSession,
     SessionManager,
+    StreamConflict,
 )
 
 __all__ = [
     "ProtectionSession",
     "SessionManager",
+    "StreamConflict",
     "DEFAULT_WINDOW_S",
     "DEFAULT_CELL_SIZE_M",
 ]

@@ -42,13 +42,17 @@ from ..lru import BoundedLRU
 from ..mobility import Trace
 from ..obs import Counters, Gauge
 
-__all__ = ["ProtectionSession", "SessionManager"]
+__all__ = ["ProtectionSession", "SessionManager", "StreamConflict"]
 
 #: Default sliding-window span: one hour of event time.
 DEFAULT_WINDOW_S = 3600.0
 
 #: Default area-coverage granularity (a city block, as in the metrics).
 DEFAULT_CELL_SIZE_M = 200.0
+
+
+class StreamConflict(ValueError):
+    """A chunk's configuration conflicts with its live session's."""
 
 
 class ProtectionSession:
@@ -71,7 +75,7 @@ class ProtectionSession:
         cell_size_m: float = DEFAULT_CELL_SIZE_M,
         cache: Optional[AnalysisCache] = None,
     ) -> None:
-        if window_s <= 0:
+        if not window_s > 0:
             raise ValueError("window span must be positive")
         self.lppm = lppm
         self.user = str(user)
@@ -110,7 +114,6 @@ class ProtectionSession:
         through one :meth:`~repro.lppm.OnlineProtector.push_many`, so a
         bad record rejects the batch before any state changes.
         """
-        records = list(records)
         out = self._protector.push_many(records)
         if not out:
             return out
@@ -285,9 +288,13 @@ class SessionManager:
 
         The first update must carry ``lppm`` (the configured mechanism);
         later updates may repeat the configuration, but a *conflicting*
-        one raises :class:`ValueError` — silently re-configuring a live
-        stream would change what its metrics mean.
+        one raises :class:`StreamConflict` — silently re-configuring a
+        live stream would change what its metrics mean.  Any other
+        :class:`ValueError` (a bad record, a non-positive ``window_s``)
+        is the caller's input, whether or not the session exists.
         """
+        if window_s is not None and not window_s > 0:
+            raise ValueError("window_s must be positive")
         key = (str(tenant), str(name))
         with self._lock:
             if self._closed:
@@ -343,7 +350,7 @@ class SessionManager:
         if window_s is not None and float(window_s) != session.window_s:
             conflicts.append("window_s")
         if conflicts:
-            raise ValueError(
+            raise StreamConflict(
                 "stream session configuration conflict on: "
                 + ", ".join(conflicts)
             )

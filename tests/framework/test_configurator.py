@@ -33,6 +33,13 @@ class TestObjective:
     def test_str(self):
         assert str(Objective("privacy", "<=", 0.1)) == "privacy <= 0.1"
 
+    @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, target):
+        # A NaN bound compares false both ways, so the objective would
+        # silently vanish from the recommendation.
+        with pytest.raises(ValueError, match="finite"):
+            Objective("privacy", "<=", target)
+
 
 class TestRecommend:
     def test_requires_fit(self, mock_system, tiny_dataset):

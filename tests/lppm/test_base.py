@@ -6,6 +6,7 @@ from repro.lppm import (
     GeoIndistinguishability,
     available_lppms,
     lppm_class,
+    primary_param,
 )
 
 
@@ -28,6 +29,17 @@ class TestRegistry:
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
             lppm_class("definitely-not-an-lppm")
+
+
+class TestNonFiniteParam:
+    """A NaN or infinite primary parameter never builds a mechanism
+    (an infinite epsilon would release the input unchanged)."""
+
+    @pytest.mark.parametrize("name", available_lppms())
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejected_at_construction(self, name, value):
+        with pytest.raises(ValueError):
+            lppm_class(name)(**{primary_param(name): value})
 
 
 class TestPrimaryParam:

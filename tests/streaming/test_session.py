@@ -18,6 +18,7 @@ from repro.streaming import (
     DEFAULT_WINDOW_S,
     ProtectionSession,
     SessionManager,
+    StreamConflict,
 )
 
 
@@ -184,6 +185,22 @@ class TestSessionManager:
         manager.update(
             "t", "s", _records(1), lppm=GeoIndistinguishability(0.05)
         )
+
+    def test_conflict_is_its_own_error(self):
+        # The service answers StreamConflict with a 409 and any other
+        # ValueError with a 400, so the two must be told apart by type.
+        manager = SessionManager()
+        lppm = GeoIndistinguishability(0.05)
+        manager.update("t", "s", _records(1), lppm=lppm)
+        with pytest.raises(StreamConflict):
+            manager.update("t", "s", _records(1), lppm=lppm, seed=9)
+        with pytest.raises(ValueError) as excinfo:
+            manager.update("t", "s", _records(1), lppm=lppm, window_s=0.0)
+        assert not isinstance(excinfo.value, StreamConflict)
+        with pytest.raises(ValueError) as excinfo:
+            manager.update("t", "s", [(0.0, 95.0, 0.0)], lppm=lppm)
+        assert not isinstance(excinfo.value, StreamConflict)
+        assert manager.get("t", "s").updates == 1
 
     def test_capacity_eviction_is_lru(self):
         manager = SessionManager(max_sessions=2)

@@ -139,6 +139,34 @@ class TestErrorPaths:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_infinite_param_is_refused(self, taxi_csv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code = main(["protect", str(taxi_csv), str(out), "--param", "inf"])
+        assert code == 2
+        assert "epsilon" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_objective_is_refused_before_the_fit(self, taxi_csv,
+                                                      capsys):
+        code = main(["configure", str(taxi_csv), "--max-privacy", "nan"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert captured.out == ""
+
+    def test_request_defaults_come_from_the_service_schema(self):
+        from repro.service.handlers import SCHEMAS
+
+        parser = build_parser()
+        sweep = parser.parse_args(["sweep", "in.csv"])
+        protect = parser.parse_args(["protect", "in.csv", "out.csv"])
+        fields = SCHEMAS["POST /sweep"]
+        assert sweep.points == fields["points"].default
+        assert sweep.replications == fields["replications"].default
+        for name in ("lppm", "param", "seed"):
+            assert getattr(protect, name) == \
+                SCHEMAS["POST /protect"][name].default
+
     def test_serve_port_already_in_use(self, capsys):
         import socket
 

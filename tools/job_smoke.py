@@ -17,19 +17,23 @@ end over real sockets — every request carrying ``X-API-Key``:
    ``POST /stream/<session>`` accumulates server-side, reports
    sliding-window metrics, and closes with final numbers (a second
    close is a typed 404);
-6. **clean shutdown** — SIGTERM drains the daemon and it exits 0.
+6. **input hygiene** — JSON ``NaN``/``Infinity`` tokens in a
+   ``/stream`` chunk, in inline ``records``, in ``param`` and in an
+   objective target each get a typed 400, and the session the rejected
+   chunk named answers 404;
+7. **clean shutdown** — SIGTERM drains the daemon and it exits 0.
 
 With ``--processes N`` (N > 1) the daemon boots in pre-fork mode and
-two extra steps prove the fleet behaves like one service:
+three extra steps prove the fleet behaves like one service:
 
-7. **fleet** — repeated ``/healthz`` probes observe at least two
+8. **fleet** — repeated ``/healthz`` probes observe at least two
    distinct ``X-Worker-Pid`` values;
-8. **cross-worker warmth** — a sweep primed on one worker is answered
+9. **cross-worker warmth** — a sweep primed on one worker is answered
    by a *different* worker from the shared result cache (zero new
    engine executions, bit-identical body), and a job submitted to one
    worker is polled to ``done`` through another via the shared job
    store;
-9. **fleet registry** — eight ``POST /datasets`` registrations, each
+10. **fleet registry** — eight ``POST /datasets`` registrations, each
    over a fresh connection, are listed by ``GET /datasets`` on two
    distinct workers, and a ``{"scenario": ...}`` sweep is served by a
    worker that did not register that name.
@@ -574,6 +578,49 @@ def main() -> int:
             }
             print("stream: skipped in pre-fork mode (worker-local "
                   "sessions; the single-process run covers it)")
+
+        # -- 3.8 input hygiene over real sockets ----------------------
+        # json.dumps writes NaN/Infinity tokens, so these reach the
+        # daemon exactly as a careless client would send them.
+        nan, inf = float("nan"), float("inf")
+        fleet = {"workload": "taxi", "users": 2, "seed": 7}
+        refusals = {
+            "stream chunk": (
+                client.stream_update,
+                ("smoke-hygiene", [[0.0, nan, -122.42]]), {},
+                "invalid-records",
+            ),
+            "inline records": (
+                client.protect,
+                ({"records": [["u1", inf, 37.76, -122.42]]},), {},
+                "invalid-dataset",
+            ),
+            "param": (client.protect, (fleet,), {"param": nan},
+                      "invalid-request"),
+            "objective target": (
+                client.recommend,
+                (fleet, [{"kind": "privacy", "op": "<=", "target": inf}]),
+                {}, "invalid-request",
+            ),
+        }
+        for what, (call, call_args, kwargs, code) in refusals.items():
+            try:
+                call(*call_args, **kwargs)
+            except ServiceClientError as exc:
+                assert (exc.status, exc.code) == (400, code), (what, exc)
+            else:
+                raise AssertionError(f"non-finite {what} was accepted")
+        try:
+            client.stream_metrics("smoke-hygiene")
+        except ServiceClientError as exc:
+            assert exc.status == 404, exc
+        else:
+            raise AssertionError("a rejected chunk opened its session")
+        summary["steps"]["input_hygiene"] = {
+            "ok": True, "refused": sorted(refusals),
+        }
+        print(f"input hygiene: non-finite {', '.join(refusals)} each a "
+              "typed 400; the rejected chunk opened no session")
 
         # -- 4. SIGTERM drains and exits 0 ----------------------------
         process.send_signal(signal.SIGTERM)
