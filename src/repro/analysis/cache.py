@@ -40,6 +40,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "AnalysisCache",
+    "InstanceMemo",
     "WeakIdentityMemo",
     "current_cache",
     "default_cache",
@@ -59,15 +60,15 @@ class WeakIdentityMemo:
     ``id()`` keys alone would alias a new object that recycled a dead
     object's address; every hit therefore verifies the stored weak
     reference still points at the asking object.  Entries hold weak
-    references only, so the memo never pins its subjects; dead entries
-    are pruned whenever the memo grows past ``prune_at``.  Not locked —
+    references only, so the memo never pins its subjects, and an
+    entry is dropped the moment its subject dies (a weakref callback),
+    so its value is released together with the subject.  Not locked —
     callers guard access with their own lock.
     """
 
-    __slots__ = ("prune_at", "_entries")
+    __slots__ = ("_entries",)
 
-    def __init__(self, prune_at: int = 64) -> None:
-        self.prune_at = int(prune_at)
+    def __init__(self) -> None:
         self._entries: Dict[int, Tuple[weakref.ref, object]] = {}
 
     def get(self, obj):
@@ -78,26 +79,69 @@ class WeakIdentityMemo:
         return None
 
     def put(self, obj, value) -> None:
-        """Memoise ``value`` for ``obj``, pruning dead entries first."""
-        if len(self._entries) > self.prune_at:
-            live = {
-                key: (ref, kept)
-                for key, (ref, kept) in self._entries.items()
-                if ref() is not None
-            }
-            if len(live) > self.prune_at // 2:
-                # Mostly-live memo (e.g. seeding one huge dataset):
-                # double the bound so insertion stays amortised O(1)
-                # instead of rescanning on every put.
-                self.prune_at *= 2
-            self._entries = live
-        self._entries[id(obj)] = (weakref.ref(obj), value)
+        """Memoise ``value`` for ``obj`` until ``obj`` dies."""
+        key = id(obj)
+        entries = self._entries
+
+        def drop(ref) -> None:
+            # Runs before the dead subject's memory is freed, so no
+            # live object can hold ``key`` yet; the identity check
+            # skips an entry a later ``put`` already replaced.
+            if entries.get(key, (None,))[0] is ref:
+                entries.pop(key, None)
+
+        entries[key] = (weakref.ref(obj, drop), value)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def clear(self) -> None:
         self._entries.clear()
+
+
+class InstanceMemo:
+    """Values memoised per ``(object instance, key)``, at most
+    ``max_keys`` keys per instance.
+
+    A locked :class:`WeakIdentityMemo` of :class:`~repro.lru.BoundedLRU`
+    maps: an instance's values are released together with the
+    instance, never travel with it when it is pickled, and the least
+    recently used key of an instance goes first once it holds
+    ``max_keys``.  ``compute`` runs outside the lock, so two threads
+    may race to compute one value (identical by construction); the
+    first insert wins.
+    """
+
+    def __init__(self, max_keys: int) -> None:
+        self.max_keys = int(max_keys)
+        self._lock = threading.Lock()
+        self._memo = WeakIdentityMemo()
+
+    def get(self, obj, key, compute: Callable[[], object]):
+        """The value under ``(obj, key)``, computing it on a miss."""
+        with self._lock:
+            values = self._memo.get(obj)
+            value = None if values is None else values.touch(key)
+        if value is not None:
+            return value
+        value = compute()
+        with self._lock:
+            values = self._memo.get(obj)
+            if values is None:
+                values = BoundedLRU(self.max_keys)
+                self._memo.put(obj, values)
+            return values.add(key, value)[0]
+
+    def keys(self, obj) -> tuple:
+        """The keys held for ``obj``, least recently used first."""
+        with self._lock:
+            values = self._memo.get(obj)
+            return () if values is None else tuple(values)
+
+    def __len__(self) -> int:
+        """How many live instances hold values."""
+        with self._lock:
+            return len(self._memo)
 
 
 class AnalysisCache:
@@ -134,9 +178,8 @@ class AnalysisCache:
         #: key -> artifact, in LRU order (least recently used first).
         self._entries = BoundedLRU(max_entries)
         # trace instance -> content key: protected traces churn, so
-        # the memo must not pin them, and a prune bound well above the
-        # artifact bound keeps seeded datasets' keys resident.
-        self._trace_keys = WeakIdentityMemo(prune_at=4 * int(max_entries))
+        # the memo must not pin them.
+        self._trace_keys = WeakIdentityMemo()
         # Datasets already seeded, so a per-batch :meth:`seed_dataset`
         # costs O(1) after the first call.
         self._seeded = WeakIdentityMemo()

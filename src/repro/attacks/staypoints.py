@@ -64,8 +64,10 @@ def _live_anchors(
       (so ``j <= i+L``) while ``times[i+L-1] - times[i] < min_dwell_s``.
 
     Both rely on non-decreasing times (subtracting one anchor time is
-    monotone in floating point too).  ``Trace`` sorts its times, so only
-    NaN timestamps can break that; such traces get every anchor.  The
+    monotone in floating point too).  ``Trace`` sorts its times and
+    rejects NaN, so only a trace built through the unchecked
+    ``Trace._from_trusted`` can break that; such traces get every
+    anchor.  The
     squared distances are computed with exactly the scan's operations,
     so a record is "outside" here iff the scan finds it outside.
     """

@@ -7,14 +7,17 @@ per-(seed, user) RNG derivation (independent of trace order and of the
 process doing the work), this makes process-parallel results
 bit-identical to serial ones.
 
-There is one level of parallelism: each (params, seed) job is one task.
 The process backend keeps a single worker pool for its whole life and
-ships the work with every task — the batch's (system signature, dataset
-fingerprint) key plus the ``(system, dataset)`` pair pickled once per
-batch.  A worker unpickles only when the key changes, so a sweep pays
-for its dataset once per worker, and a new dataset costs a pickle
-instead of a pool.  A whole batch is submitted at once and each result
-is handed back as it completes; a lone job is simply a one-task batch.
+splits each batch into one task per worker: a contiguous slice of the
+batch's jobs (the engine hands them over seed-major, so a worker's jobs
+share their seeds' memoised noise).  Each task ships the batch's
+(system signature, dataset fingerprint) key plus the ``(system,
+dataset)`` pair pickled once per batch; a worker unpickles only when
+the key changes, so a sweep pays for its dataset once per worker, and a
+new dataset costs a pickle instead of a pool.  A worker sends each
+job's result back through the pool's result pipe as soon as it is
+computed, so results still settle, cancel and replay one job at a time
+while the batch costs only one executor round trip per worker.
 
 Protection always takes the columnar ``protect_block`` path over
 ``Dataset.columns()``, in-process or inside a worker alike.
@@ -23,6 +26,7 @@ Protection always takes the columnar ``protect_block`` path over
 from __future__ import annotations
 
 import abc
+import itertools
 import multiprocessing
 import os
 import pickle
@@ -112,7 +116,8 @@ class ExecutionBackend(abc.ABC):
 
         ``key`` is an optional (system signature, dataset fingerprint)
         content key for the pair.  ``on_result`` is called once per
-        job as it completes, in completion order.  ``check`` is called
+        job as it completes (the pool backend: within one poll
+        interval), in completion order.  ``check`` is called
         before the first job, whenever a completion leaves work
         pending, and periodically while waiting; if it (or
         ``on_result``) raises, jobs not yet started are abandoned and
@@ -145,10 +150,19 @@ class SerialBackend(ExecutionBackend):
 # under its content key.  A task with the same key reuses it.
 _WORKER_KEY: Optional[Tuple[str, str]] = None
 _WORKER_PAIR: Optional[tuple] = None
+# The pool's result pipe (write end, its lock) and the token of the
+# batch the parent is collecting, set once per worker.
+_WORKER_RESULTS: Optional[tuple] = None
+_WORKER_BATCH = None
 
 
-def _init_worker(analysis_spill_dir: Optional[str]) -> None:
+def _init_worker(
+    analysis_spill_dir: Optional[str], results: tuple, batch
+) -> None:
+    global _WORKER_RESULTS, _WORKER_BATCH
     from ..analysis import default_cache, reset_ambient
+
+    _WORKER_RESULTS, _WORKER_BATCH = results, batch
 
     # The pool forks inside the engine's use_cache(): drop the
     # inherited copy of the parent's cache so metrics read this
@@ -162,8 +176,13 @@ def _init_worker(analysis_spill_dir: Optional[str]) -> None:
 
 
 def _run_in_worker(
-    key: Tuple[str, str], payload: bytes, job: EvalJob
-) -> Tuple[float, float]:
+    key: Tuple[str, str],
+    payload: bytes,
+    token: int,
+    items: Sequence[Tuple[int, EvalJob]],
+) -> None:
+    """Run a slice of batch ``token``, sending ``(token, index, value)``
+    per job; stop early once the parent has abandoned the batch."""
     global _WORKER_KEY, _WORKER_PAIR
     if key != _WORKER_KEY:
         from ..analysis import default_cache
@@ -178,7 +197,22 @@ def _run_in_worker(
         cache.seed_dataset(dataset, key[1])
         _WORKER_KEY, _WORKER_PAIR = key, (system, dataset)
     system, dataset = _WORKER_PAIR
-    return execute_job(system, dataset, job)
+    writer, lock = _WORKER_RESULTS
+    for i, job in items:
+        if _WORKER_BATCH.value != token:
+            return
+        value = execute_job(system, dataset, job)
+        # One small message is one atomic pipe write, so a worker that
+        # dies mid-batch never leaves a torn result behind.
+        with lock:
+            writer.send((token, i, value))
+
+
+def _slices(todo: List[int], n: int) -> List[List[int]]:
+    """``todo`` in at most ``n`` contiguous slices, sizes within one."""
+    m = len(todo)
+    n = min(n, m)
+    return [todo[m * k // n:m * (k + 1) // n] for k in range(n)]
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -186,11 +220,16 @@ class ProcessPoolBackend(ExecutionBackend):
 
     One pool serves every :meth:`run` for the backend's whole life:
     tasks carry their (system, dataset) payload, so a batch over a new
-    dataset needs no new processes.  A crashed worker (OOM-killed,
-    segfaulted, injected) breaks the pool; the backend then builds one
-    fresh pool and replays only the jobs that have no result yet, and a
-    second crash in the same batch finishes the rest serially.  Call
-    :meth:`close` (or rely on finalisation) to release the workers.
+    dataset needs no new processes.  A batch is one task per worker,
+    each a slice of its jobs; results come back one job at a time over
+    the pool's result pipe, tagged with the batch's token, and a batch
+    the caller abandons (cancellation, an error) has its token
+    withdrawn, so every worker stops after the job it is running.  A
+    crashed worker (OOM-killed, segfaulted, injected) breaks the pool;
+    the backend then builds one fresh pool and replays only the jobs
+    that have no result yet, and a second crash in the same batch
+    finishes the rest serially.  Call :meth:`close` (or rely on
+    finalisation) to release the workers.
 
     :meth:`run` and :meth:`close` serialise on :attr:`batch_lock`, so
     two concurrent batches take turns instead of interleaving datasets
@@ -233,6 +272,11 @@ class ProcessPoolBackend(ExecutionBackend):
         # unbounding the shutdown the timeout bounded).
         self._closed = False
         self._pool: Optional[ProcessPoolExecutor] = None
+        # The live pool's result pipe (read end) and shared batch
+        # token, replaced together with the pool.
+        self._results = None
+        self._batch = None
+        self._tokens = itertools.count(1)
         #: Pools started so far: 1 for the backend's life, plus one per
         #: crash rebuild.
         self.pools_built = 0
@@ -249,26 +293,36 @@ class ProcessPoolBackend(ExecutionBackend):
             return multiprocessing.get_context("fork")
         return multiprocessing.get_context()
 
-    def _pool_of(self) -> ProcessPoolExecutor:
+    def _pool_of(self) -> tuple:
+        """The live pool, its result pipe's read end and batch token."""
         with self._state_lock:
             if self._closed:
                 raise RuntimeError(
                     "ProcessPoolBackend was force-closed during shutdown"
                 )
             if self._pool is None:
+                ctx = self._mp_context()
+                reader, writer = ctx.Pipe(duplex=False)
+                batch = ctx.RawValue("q", 0)
+                # The executor keeps ``initargs`` (so the write end
+                # stays open for workers it starts later).
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.max_workers,
-                    mp_context=self._mp_context(),
+                    mp_context=ctx,
                     initializer=_init_worker,
-                    initargs=(self.analysis_spill_dir,),
+                    initargs=(
+                        self.analysis_spill_dir, (writer, ctx.Lock()), batch,
+                    ),
                 )
+                self._results, self._batch = reader, batch
                 self.pools_built += 1
-            return self._pool
+            return self._pool, self._results, self._batch
 
     def _discard_pool(self) -> None:
         """Release a broken pool without waiting on its corpses."""
         with self._state_lock:
             pool, self._pool = self._pool, None
+            self._results = self._batch = None
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
 
@@ -293,6 +347,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 # would resurrect a pool the exit path cannot reap.
                 self._closed = True
             pool, self._pool = self._pool, None
+            self._results = self._batch = None
         try:
             if pool is not None:
                 if acquired:
@@ -369,36 +424,64 @@ class ProcessPoolBackend(ExecutionBackend):
             return values  # type: ignore[return-value]
 
     def _submit_and_collect(self, key, payload, jobs, todo, settle, check):
-        """Submit ``jobs[i]`` for every ``i`` in ``todo`` at once, then
-        settle results as they complete."""
+        """Submit ``jobs[i]`` for every ``i`` in ``todo``, one slice per
+        worker, then settle each result as it arrives."""
         if check is not None:
             check()
-        pool = self._pool_of()
-        futures = {}
+        pool, results, batch = self._pool_of()
+        # Results an abandoned batch's workers sent after it gave up
+        # (at most one per worker) are dropped before this batch's.
+        while results.poll():
+            results.recv()
+        token = batch.value = next(self._tokens)
+        futures = []
         try:
+            crash = None
             if _fire_fault("pool.crash"):
-                # Waited on like a job, so the batch always sees the
-                # breakage even if the other workers finish every job.
-                futures[pool.submit(os._exit, 1)] = None
-            for i in todo:
-                futures[pool.submit(_run_in_worker, key, payload,
-                                    jobs[i])] = i
-            pending = set(futures)
-            while pending:
+                crash = pool.submit(os._exit, 1)
+                futures.append(crash)
+            for part in _slices(todo, self.max_workers):
+                futures.append(pool.submit(
+                    _run_in_worker, key, payload, token,
+                    [(i, jobs[i]) for i in part],
+                ))
+            # The pipe is read when a slice completes or a poll interval
+            # passes, not on every result: one wake-up per slice keeps
+            # the parent off the workers' CPUs.
+            left, pending = len(todo), set(futures)
+            while left:
                 done, pending = wait(
                     pending, timeout=_POLL_S, return_when=FIRST_COMPLETED
                 )
-                failed = None
+                # A slice sends each result before it completes, so
+                # the pipe holds every result of a finished slice.
+                while left and results.poll():
+                    sent, i, value = results.recv()
+                    if sent == token:
+                        settle(i, value)
+                        left -= 1
+                        if left and check is not None:
+                            check()
                 for future in done:
-                    if future.cancelled() or future.exception() is not None:
-                        failed = future
-                    elif futures[future] is not None:
-                        settle(futures[future], future.result())
-                if failed is not None:
-                    failed.result()  # raises
-                if pending and check is not None:
+                    future.result()  # a failed slice raises
+                if left and not pending:
+                    raise RuntimeError(
+                        f"pool slices ended with {left} results unsent"
+                    )
+                if left and check is not None:
                     check()
+            if crash is not None:
+                # Waited on even when the other workers sent every
+                # result, so the batch always sees the breakage.
+                crash.result()
         except BaseException:
+            # Withdraw the token: every worker stops after its current
+            # job, and slices not yet started are cancelled outright.
+            # Draining the pipe frees a worker blocked on a full one, so
+            # it can see the withdrawal (and close() can join it).
+            batch.value = 0
             for future in futures:
                 future.cancel()
+            while results.poll():
+                results.recv()
             raise

@@ -416,6 +416,12 @@ class EvaluationEngine:
             hooks.jobs_done(settled)
         if not fresh:
             return
+        # Seed-major: a sweep's jobs share their replication seeds'
+        # ε-independent protection work (memoised per block and seed,
+        # a few seeds at a time), so each seed's jobs run together
+        # however many replications there are.  Results still land in
+        # job order through their indices.
+        fresh.sort(key=lambda item: jobs[item[1][0]].seed)
 
         def on_result(k: int, value: Tuple[float, float]) -> None:
             fp, indices = fresh[k]

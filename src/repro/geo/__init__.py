@@ -1,7 +1,13 @@
 """Geodesy substrate: WGS-84 math, projections, grids and bounding boxes."""
 
 from .bbox import BoundingBox
-from .grid import SpatialGrid, cell_f1, cell_jaccard
+from .grid import (
+    SpatialGrid,
+    cell_f1,
+    cell_jaccard,
+    f1_from_counts,
+    shared_rows,
+)
 from .point import (
     EARTH_RADIUS_M,
     LatLon,
@@ -28,5 +34,7 @@ __all__ = [
     "SpatialGrid",
     "cell_f1",
     "cell_jaccard",
+    "f1_from_counts",
+    "shared_rows",
     "BoundingBox",
 ]

@@ -17,9 +17,20 @@ import numpy as np
 from .point import LatLon
 from .projection import LocalProjection
 
-__all__ = ["SpatialGrid", "cell_f1", "cell_jaccard"]
+__all__ = [
+    "SpatialGrid",
+    "cell_f1",
+    "cell_jaccard",
+    "f1_from_counts",
+    "shared_rows",
+]
 
 Cell = Tuple[int, int]
+
+#: One cell as an opaque 16-byte row: the raw bytes of its int64
+#: ``(ix, iy)`` pair, so equal rows are exactly equal cells whatever
+#: their span.
+_CELL_ROW = np.dtype((np.void, 16))
 
 
 @dataclass(frozen=True)
@@ -54,6 +65,17 @@ class SpatialGrid:
         """The set of distinct cells touched by the coordinates."""
         cells = self.cells_of(lats, lons)
         return frozenset(map(tuple, cells.tolist()))
+
+    def cell_rows(self, lats, lons) -> np.ndarray:
+        """The distinct cells touched, as sorted unique 16-byte rows.
+
+        The array counterpart of :meth:`covered_cells`: its size is
+        the number of covered cells, and :func:`shared_rows` counts
+        the cells two such arrays share.  Rows sort by their bytes,
+        not numerically; only their equality carries meaning.
+        """
+        cells = self.cells_of(lats, lons)
+        return np.unique(cells.view(_CELL_ROW).ravel())
 
     def cell_center(self, cell: Cell) -> LatLon:
         """Lat/lon of the centre of ``cell``."""
@@ -90,13 +112,31 @@ def cell_f1(a: Iterable[Cell], b: Iterable[Cell]) -> float:
     the default area-coverage utility in this library.
     """
     sa, sb = set(a), set(b)
-    if not sa and not sb:
+    return f1_from_counts(len(sa), len(sb), len(sa & sb))
+
+
+def f1_from_counts(n_a: int, n_b: int, n_shared: int) -> float:
+    """F1 overlap of two cell sets from their sizes and shared count.
+
+    The arithmetic of :func:`cell_f1`, for callers that count cells
+    without building Python sets (:meth:`SpatialGrid.cell_rows`).
+    """
+    if not n_a and not n_b:
         return 1.0
-    if not sa or not sb:
+    if not n_a or not n_b or n_shared == 0:
         return 0.0
-    inter = len(sa & sb)
-    if inter == 0:
-        return 0.0
-    precision = inter / len(sb)
-    recall = inter / len(sa)
+    precision = n_shared / n_b
+    recall = n_shared / n_a
     return 2.0 * precision * recall / (precision + recall)
+
+
+def shared_rows(a: np.ndarray, b: np.ndarray) -> int:
+    """How many rows two :meth:`SpatialGrid.cell_rows` arrays share.
+
+    Both inputs are sorted and unique, so a stable sort of their
+    concatenation is one merge, and each shared row is exactly one
+    adjacent equal pair.
+    """
+    both = np.concatenate([a, b])
+    both.sort(kind="stable")
+    return int(np.count_nonzero(both[1:] == both[:-1]))

@@ -171,7 +171,18 @@ def primary_param(name: str) -> str:
     (``*args``/``**kwargs``-only), so callers can answer "?" instead of
     passing a bogus keyword.
     """
-    init = inspect.signature(lppm_class(name).__init__)
+    return _primary_param_of(lppm_class(name), name)
+
+
+@functools.lru_cache(maxsize=256)
+def _primary_param_of(cls: Type["LPPM"], name: str) -> str:
+    """:func:`primary_param` of one class, inspected once per class.
+
+    Keyed on the class the name resolves to, so a name registered
+    again to a new class resolves afresh.  Errors are not cached; they
+    raise again on the next call.
+    """
+    init = inspect.signature(cls.__init__)
     named = [
         p
         for p in init.parameters.values()

@@ -28,12 +28,8 @@ import numpy as np
 
 from ..geo import LatLon, LocalProjection, SpatialGrid
 from ..mobility import Dataset, Trace, TraceBlock
-from .base import LPPM, _concat_trace_draws, register_lppm
-from .geo_ind import (
-    _polar_draws,
-    planar_laplace_radii,
-    planar_laplace_radii_from_uniform,
-)
+from .base import LPPM, register_lppm
+from .geo_ind import _unit_noise, planar_laplace_radii
 
 __all__ = ["DensityMap", "ElasticGeoIndistinguishability"]
 
@@ -99,8 +95,10 @@ class ElasticGeoIndistinguishability(LPPM):
             raise ValueError("epsilon must be positive and finite")
         if not 0.0 <= exponent <= 1.0:
             raise ValueError("exponent must be in [0, 1]")
-        if max_scale < 1.0:
-            raise ValueError("max_scale must be at least 1")
+        if not 1.0 <= max_scale < np.inf:
+            raise ValueError("max_scale must be finite and at least 1")
+        if not 0 < cell_size_m < np.inf:
+            raise ValueError("cell_size_m must be positive and finite")
         self.epsilon = float(epsilon)
         self.exponent = float(exponent)
         self.max_scale = float(max_scale)
@@ -108,7 +106,12 @@ class ElasticGeoIndistinguishability(LPPM):
         self.density = density
 
     def params(self) -> Mapping[str, float]:
-        return {"epsilon": self.epsilon, "exponent": self.exponent}
+        return {
+            "epsilon": self.epsilon,
+            "exponent": self.exponent,
+            "max_scale": self.max_scale,
+            "cell_size_m": self.cell_size_m,
+        }
 
     def protect(self, dataset: Dataset, seed: int = 0) -> Dataset:
         """Protect a dataset, building the density prior from it if absent.
@@ -170,12 +173,9 @@ class ElasticGeoIndistinguishability(LPPM):
         if block.n_records == 0:
             return list(block.traces)
         eps = self._scaled_epsilons(block.lats, block.lons, self.density)
-        p, raw_theta = _concat_trace_draws(block, seed, _polar_draws)
-        theta = raw_theta * (2.0 * np.pi)
-        # One unit-epsilon radius per point, rescaled: r(eps) = r(1)/eps.
-        r = planar_laplace_radii_from_uniform(1.0, p) / eps
-        x, y = block.to_xy()
-        lats, lons = block.to_latlon(
-            x + r * np.cos(theta), y + r * np.sin(theta)
-        )
+        # One unit-epsilon radius per point, rescaled: r(eps) = r(1)/eps,
+        # and the unit radius of geo-I's memoised noise is exactly -q.
+        q, cos_t, sin_t, x, y = _unit_noise(block, seed)
+        r = -q / eps
+        lats, lons = block.to_latlon(x + r * cos_t, y + r * sin_t)
         return block.with_coords(lats, lons)

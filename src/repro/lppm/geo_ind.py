@@ -29,6 +29,7 @@ from typing import Mapping
 import numpy as np
 from scipy.special import lambertw
 
+from ..analysis.cache import InstanceMemo
 from ..geo import LocalProjection
 from ..mobility import Trace, TraceBlock
 from .base import LPPM, _AnchoredOnline, _concat_trace_draws, register_lppm
@@ -40,20 +41,27 @@ __all__ = [
 ]
 
 
+def _unit_q(p: np.ndarray) -> np.ndarray:
+    """``W₋₁((p − 1)/e) + 1`` (real part): the radius is ``-(1/ε)·q``.
+
+    The ε-independent half of the polar Laplace radius, so a sweep
+    over ε can evaluate the Lambert W once per draw.
+    """
+    return np.real(lambertw((p - 1.0) / np.e, k=-1)) + 1.0
+
+
 def planar_laplace_radii_from_uniform(
     epsilon: float, p: np.ndarray
 ) -> np.ndarray:
     """Polar Laplace radii from already-drawn ``Uniform[0, 1)`` samples.
 
     The deterministic half of :func:`planar_laplace_radii`, split out
-    so the columnar protect path can draw ``p`` per trace (preserving
-    the per-user RNG streams) and then evaluate one concatenated
-    Lambert-W call over a whole dataset.
+    so the online path can draw ``p`` from its carried stream and
+    evaluate one Lambert-W call per chunk.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    w = lambertw((p - 1.0) / np.e, k=-1)
-    return -(1.0 / epsilon) * (np.real(w) + 1.0)
+    return -(1.0 / epsilon) * _unit_q(p)
 
 
 def planar_laplace_radii(
@@ -86,6 +94,50 @@ def _polar_draws(rng: np.random.Generator, trace) -> tuple:
     n = len(trace)
     v = rng.uniform(0.0, 1.0, size=2 * n)
     return v[:n], v[n:]
+
+
+#: Seeds whose unit noise one block keeps.  A sweep reuses its
+#: replication seeds at every ε and the engine hands a batch's jobs
+#: over seed-major, so a worker needs one seed at a time; the slack
+#: covers concurrent batches over one dataset.
+_SEEDS_PER_BLOCK = 4
+
+#: Per block: its projection under the key ``"xy"`` (seed-independent,
+#: and read on every call, so never the least recently used key) and
+#: the unit noise of up to :data:`_SEEDS_PER_BLOCK` seeds.
+_UNIT_NOISE = InstanceMemo(_SEEDS_PER_BLOCK + 1)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+def _draw_unit_noise(block: TraceBlock, seed: int) -> tuple:
+    p, raw_theta = _concat_trace_draws(block, seed, _polar_draws)
+    theta = raw_theta * (2.0 * np.pi)
+    return _read_only(_unit_q(p), np.cos(theta), np.sin(theta))
+
+
+def _unit_noise(block: TraceBlock, seed: int) -> tuple:
+    """``(q, cos θ, sin θ, x, y)`` of a block's planar Laplace noise.
+
+    Everything but ε: the per-trace ``(seed, user)`` draws through
+    one concatenated Lambert W (:func:`_unit_q`), the angle's cosine
+    and sine, and the block's own projection.  A record's displacement
+    at ε is ``r = -(1/ε)·q`` along ``(cos θ, sin θ)``, computed with
+    the same operations in the same order as drawing afresh, so every
+    release is bit-identical.  Memoised for the life of the block as
+    read-only arrays: the projection once, ``(q, cos θ, sin θ)`` per
+    seed (at most :data:`_SEEDS_PER_BLOCK`, least recently used out
+    first).
+    """
+    x, y = _UNIT_NOISE.get(block, "xy", lambda: _read_only(*block.to_xy()))
+    q, cos_t, sin_t = _UNIT_NOISE.get(
+        block, seed, lambda: _draw_unit_noise(block, seed)
+    )
+    return q, cos_t, sin_t, x, y
 
 
 class _GeoIndOnline(_AnchoredOnline):
@@ -145,15 +197,13 @@ class GeoIndistinguishability(LPPM):
         generator emits ``p`` then ``theta``, exactly as
         :meth:`protect_trace` consumes them); the deterministic math —
         projection, a single concatenated Lambert-W evaluation, trig —
-        runs once over the concatenated block.
+        runs once over the concatenated block, and once per seed over
+        a sweep (:func:`_unit_noise`): only the radius scale and the
+        inverse projection are per ε.
         """
         if block.n_records == 0:
             return list(block.traces)
-        p, raw_theta = _concat_trace_draws(block, seed, _polar_draws)
-        theta = raw_theta * (2.0 * np.pi)
-        r = planar_laplace_radii_from_uniform(self.epsilon, p)
-        x, y = block.to_xy()
-        lats, lons = block.to_latlon(
-            x + r * np.cos(theta), y + r * np.sin(theta)
-        )
+        q, cos_t, sin_t, x, y = _unit_noise(block, seed)
+        r = -(1.0 / self.epsilon) * q
+        lats, lons = block.to_latlon(x + r * cos_t, y + r * sin_t)
         return block.with_coords(lats, lons)

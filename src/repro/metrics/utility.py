@@ -12,8 +12,15 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..geo import LatLon, SpatialGrid, cell_f1, haversine_m_arrays
-from ..mobility import Dataset
+from ..analysis.cache import InstanceMemo
+from ..geo import (
+    LatLon,
+    SpatialGrid,
+    f1_from_counts,
+    haversine_m_arrays,
+    shared_rows,
+)
+from ..mobility import Dataset, Trace
 from .base import Metric, paired_coords, register_metric
 
 __all__ = ["AreaCoverageUtility", "SameCellFraction", "SpatialDistortionUtility"]
@@ -26,6 +33,27 @@ def _dataset_grid(
     return SpatialGrid.around(ref or actual.centroid(), cell_size_m)
 
 
+#: Grids whose covered cells one actual trace keeps: a system fixes
+#: its utility grid, so one per trace is the steady state.
+_GRIDS_PER_TRACE = 4
+
+_ACTUAL_CELLS = InstanceMemo(_GRIDS_PER_TRACE)
+
+
+def _actual_cell_rows(grid: SpatialGrid, trace: Trace) -> np.ndarray:
+    """``grid.cell_rows`` of an actual trace, memoised per (trace, grid).
+
+    Every job of a sweep measures against the same actual traces, so
+    their covered cells are computed once and released with them.
+    """
+    def compute() -> np.ndarray:
+        rows = grid.cell_rows(trace.lats, trace.lons)
+        rows.setflags(write=False)
+        return rows
+
+    return _ACTUAL_CELLS.get(trace, grid, compute)
+
+
 @register_metric("area_coverage")
 class AreaCoverageUtility(Metric):
     """F1 overlap of covered city blocks, actual vs protected, per user.
@@ -35,6 +63,12 @@ class AreaCoverageUtility(Metric):
     remain about the size of a city block" (the paper, §2): at a cell
     size of one block this metric is exactly the retained coverage
     similarity.  1 = identical footprint, 0 = disjoint.
+
+    Cell sets are :meth:`SpatialGrid.cell_rows` arrays, F1 is
+    :func:`f1_from_counts` of their sizes and shared rows (the same
+    counts :func:`cell_f1` takes), and each actual trace's cells are
+    computed once per grid for all the protected datasets measured
+    against it.
     """
 
     kind = "utility"
@@ -55,13 +89,11 @@ class AreaCoverageUtility(Metric):
         for user in self._common_users(actual, protected):
             if actual[user].is_empty:
                 continue
-            a_cells = grid.covered_cells(actual[user].lats, actual[user].lons)
-            p_cells = (
-                grid.covered_cells(protected[user].lats, protected[user].lons)
-                if not protected[user].is_empty
-                else frozenset()
+            a_rows = _actual_cell_rows(grid, actual[user])
+            p_rows = grid.cell_rows(protected[user].lats, protected[user].lons)
+            values[user] = f1_from_counts(
+                a_rows.size, p_rows.size, shared_rows(a_rows, p_rows)
             )
-            values[user] = cell_f1(a_cells, p_cells)
         return values
 
     def evaluate(self, actual: Dataset, protected: Dataset) -> float:

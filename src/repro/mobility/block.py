@@ -46,6 +46,8 @@ class TraceBlock:
     (datasets memoise their block via :meth:`Dataset.columns`).
     """
 
+    # __weakref__ lets identity memos (the geo-I unit-noise memo) hold
+    # per-block values that are released together with the block.
     __slots__ = (
         "traces",
         "users",
@@ -56,6 +58,7 @@ class TraceBlock:
         "_lons",
         "_refs",
         "_record_refs",
+        "__weakref__",
     )
 
     def __init__(self, traces: Sequence[Trace]) -> None:

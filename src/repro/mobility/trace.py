@@ -45,6 +45,9 @@ class Trace:
         Timestamps in seconds (unix epoch or experiment-relative).
     lats, lons:
         Coordinates in degrees, same length as ``times_s``.
+
+    Every value must be finite (NaN and ±inf raise :class:`ValueError`
+    naming the field) and coordinates within ±90 / ±180 degrees.
     """
 
     # __weakref__ lets long-lived caches (the analysis layer's
@@ -61,6 +64,10 @@ class Trace:
             raise ValueError("times, lats and lons must have equal shapes")
         if times.ndim != 1:
             raise ValueError("trace arrays must be one-dimensional")
+        for field, values in (("times_s", times), ("lats", lats_a),
+                              ("lons", lons_a)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"trace {field} must be finite")
         if times.size and np.any(np.diff(times) < 0):
             order = np.argsort(times, kind="stable")
             times, lats_a, lons_a = times[order], lats_a[order], lons_a[order]

@@ -36,7 +36,13 @@ import numpy as np
 
 from ..analysis import AnalysisCache, pois_of, stay_points_of
 from ..framework.store import RecordStore
-from ..geo import LatLon, SpatialGrid, cell_f1, haversine_m_arrays
+from ..geo import (
+    LatLon,
+    SpatialGrid,
+    f1_from_counts,
+    haversine_m_arrays,
+    shared_rows,
+)
 from ..lppm import LPPM
 from ..lru import BoundedLRU
 from ..mobility import Trace
@@ -202,10 +208,11 @@ class ProtectionSession:
             window["distortion_m"] = float(np.mean(haversine_m_arrays(
                 act_lats, act_lons, rel_lats, rel_lons
             )))
-            window["coverage_f1"] = float(cell_f1(
-                self._grid.covered_cells(act_lats, act_lons),
-                self._grid.covered_cells(rel_lats, rel_lons),
-            ))
+            a_rows = self._grid.cell_rows(act_lats, act_lons)
+            r_rows = self._grid.cell_rows(rel_lats, rel_lons)
+            window["coverage_f1"] = f1_from_counts(
+                a_rows.size, r_rows.size, shared_rows(a_rows, r_rows)
+            )
         stays = stay_points_of(actual, cache=self._cache)
         window["stay_points"] = len(stays)
         window["pois"] = len(pois_of(actual, cache=self._cache))

@@ -27,6 +27,7 @@ from repro.analysis import (
     stay_points_of,
     use_cache,
 )
+from repro.analysis.cache import InstanceMemo, WeakIdentityMemo
 from repro.attacks import PoiExtractionConfig
 from repro.engine import EvalJob
 from repro.mobility import Trace
@@ -110,6 +111,47 @@ class TestCacheBasics:
         cache.clear()
         assert len(cache) == 0
         assert cache.counters["misses"] == 1
+
+
+class _Subject:
+    """A weakly referenceable stand-in for a trace or a block."""
+
+
+class TestIdentityMemos:
+    def test_entry_dropped_when_its_subject_dies(self):
+        memo = WeakIdentityMemo()
+        subject = _Subject()
+        memo.put(subject, "value")
+        assert memo.get(subject) == "value" and len(memo) == 1
+        del subject
+        assert len(memo) == 0
+
+    def test_replaced_entry_survives_the_old_reference(self):
+        memo = WeakIdentityMemo()
+        subject = _Subject()
+        memo.put(subject, "old")
+        memo.put(subject, "new")
+        assert memo.get(subject) == "new" and len(memo) == 1
+
+    def test_instance_memo_computes_once_and_keeps_first_insert(self):
+        memo = InstanceMemo(max_keys=2)
+        subject = _Subject()
+        calls = []
+        first = memo.get(subject, "k", lambda: calls.append(1) or [1])
+        again = memo.get(subject, "k", lambda: calls.append(2) or [2])
+        assert first is again and calls == [1]
+
+    def test_instance_memo_bound_and_lifetime(self):
+        memo = InstanceMemo(max_keys=2)
+        a, b = _Subject(), _Subject()
+        for key in range(5):
+            memo.get(a, key, lambda: [key])
+            assert len(memo.keys(a)) <= 2
+        memo.get(b, "x", lambda: [0])
+        assert memo.keys(a) == (3, 4) and memo.keys(b) == ("x",)
+        assert len(memo) == 2
+        del a
+        assert len(memo) == 1
 
 
 class TestAmbientSelection:

@@ -225,13 +225,13 @@ class TestPrefilterParity:
                 _reference_extract_stay_points(trace, roam_m, min_dwell_s)
 
     def test_nan_timestamps_fall_back_to_every_anchor(self):
-        # Trace sorts its times, but NaN defeats the sort check, and
-        # the dead-anchor proofs need non-decreasing times.
+        # Trace rejects NaN times, but the trusted constructor does not
+        # check, and the dead-anchor proofs need non-decreasing times.
         # Here the stop 0..2 qualifies although the trace "ends" at
         # 500 s, which the end-of-trace test would call hopeless.
         times = np.array([0.0, np.nan, 1000.0, 1100.0, np.nan, 500.0])
         lats = np.array([48.85, 48.85, 48.85, 48.95, 48.95, 48.95])
-        trace = Trace("n", times, lats, np.full(6, 2.35))
+        trace = Trace._from_trusted("n", times, lats, np.full(6, 2.35))
         expected = _reference_extract_stay_points(trace)
         assert len(expected) == 1
         assert extract_stay_points(trace) == expected

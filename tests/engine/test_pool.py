@@ -11,7 +11,10 @@ that design has to keep true:
   bit-identical to a fault-free run, each job settled exactly once;
 * cancellation mid-batch raises within one job (or one poll interval
   while waiting), keeps finished results cached, and a resubmission
-  runs only the rest.
+  runs only the rest;
+* a batch is one slice of jobs per worker, yet a cancelled batch stops
+  each worker after its current job, and results the workers still
+  send for it never settle into a later batch.
 """
 
 import os
@@ -145,6 +148,20 @@ class _DieOnce:
         return value
 
 
+class _Counted:
+    """Privacy metric that leaves one file per evaluation it starts, in
+    whichever process runs it."""
+
+    def __init__(self, inner, workdir) -> None:
+        self._inner = inner
+        self.kind = inner.kind
+        self._workdir = workdir
+
+    def evaluate(self, dataset, protected):
+        (self._workdir / f"{os.getpid()}-{time.monotonic_ns()}").touch()
+        return self._inner.evaluate(dataset, protected)
+
+
 class TestCrashReplay:
     def test_worker_death_mid_batch_replays_only_unfinished_jobs(
         self, fleet, tmp_path
@@ -223,6 +240,49 @@ class TestCancellation:
             assert cost.count == 8 - partial
         assert _values(resumed) == _values(
             EvaluationEngine().run(system, fleet, _jobs(8))
+        )
+
+    def test_cancel_stops_each_worker_after_its_current_job(
+        self, fleet, tmp_path
+    ):
+        from dataclasses import replace
+
+        slow = slow_system_factory(0.05)()
+        system = replace(
+            slow, privacy_metric=_Counted(slow.privacy_metric, tmp_path)
+        )
+        jobs = _jobs(24)
+        done = []
+        with EvaluationEngine(engine="process", jobs=2) as engine:
+            with engine.hooks(
+                jobs_done=done.append, should_cancel=lambda: bool(done)
+            ):
+                with pytest.raises(EvaluationCancelled):
+                    engine.run(system, fleet, jobs)
+        # close() waited for the workers.  Each slice holds 12 jobs
+        # (0.6 s); withdrawn at the first result, it stops long before.
+        started = len(list(tmp_path.iterdir()))
+        assert started <= len(jobs) // 2, started
+
+    def test_abandoned_results_never_settle_in_a_later_batch(self, fleet):
+        system = slow_system_factory(0.05)()
+        other = [
+            EvalJob.make({"epsilon": 0.5 + 0.01 * i}, seed=7)
+            for i in range(4)
+        ]
+        done = []
+        with EvaluationEngine(engine="process", jobs=2) as engine:
+            with engine.hooks(
+                jobs_done=done.append, should_cancel=lambda: bool(done)
+            ):
+                with pytest.raises(EvaluationCancelled):
+                    engine.run(system, fleet, _jobs(8))
+            # The workers finish their current jobs of the cancelled
+            # batch while this one starts; those results carry the old
+            # batch's token and indices 0..3 that exist here too.
+            got = engine.run(system, fleet, other)
+        assert _values(got) == _values(
+            EvaluationEngine().run(system, fleet, other)
         )
 
     def test_cancel_while_waiting_raises_before_a_job_finishes(self, fleet):

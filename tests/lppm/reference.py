@@ -19,7 +19,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from scipy.special import lambertw
 
-from repro.geo import LatLon, LocalProjection, SpatialGrid
+from repro.geo import LatLon, LocalProjection, SpatialGrid, cell_f1
+from repro.lppm.base import _concat_trace_draws
+from repro.lppm.geo_ind import _polar_draws
 from repro.mobility import Dataset, Trace
 
 
@@ -242,6 +244,70 @@ def _reference_protect(lppm, dataset: Dataset, seed: int) -> Dataset:
         for trace in dataset.traces
     ]
     return Dataset.from_traces(protected)
+
+
+# ----------------------------------------------------------------------
+# One sweep job as it ran before the sweep memos: every job redraws its
+# noise, re-evaluates the Lambert W, re-projects the block and recomputes
+# the actual side's covered cells.
+# ----------------------------------------------------------------------
+def _reference_block_geo_ind(
+    dataset: Dataset, epsilon: float, seed: int
+) -> Dataset:
+    """The per-job columnar geo-I path, verbatim (no memo)."""
+    block = dataset.columns()
+    if block.n_records == 0:
+        return Dataset.from_traces(list(block.traces))
+    p, raw_theta = _concat_trace_draws(block, seed, _polar_draws)
+    theta = raw_theta * (2.0 * np.pi)
+    w = lambertw((p - 1.0) / np.e, k=-1)
+    r = -(1.0 / epsilon) * (np.real(w) + 1.0)
+    x, y = block.to_xy()
+    lats, lons = block.to_latlon(
+        x + r * np.cos(theta), y + r * np.sin(theta)
+    )
+    return Dataset.from_traces(block.with_coords(lats, lons))
+
+
+def _reference_area_coverage(
+    actual: Dataset,
+    protected: Dataset,
+    cell_size_m: float,
+    ref: Optional[LatLon] = None,
+) -> float:
+    """``AreaCoverageUtility.evaluate`` on frozenset cells, verbatim."""
+    grid = SpatialGrid.around(ref or actual.centroid(), cell_size_m)
+    values: Dict[str, float] = {}
+    for user in [u for u in actual.users if u in protected]:
+        if actual[user].is_empty:
+            continue
+        a_cells = grid.covered_cells(actual[user].lats, actual[user].lons)
+        p_cells = (
+            grid.covered_cells(protected[user].lats, protected[user].lons)
+            if not protected[user].is_empty
+            else frozenset()
+        )
+        values[user] = cell_f1(a_cells, p_cells)
+    if not values:
+        return 0.0
+    return float(np.mean(list(values.values())))
+
+
+def reference_sweep(
+    dataset: Dataset,
+    jobs: List[Tuple[float, int]],
+    cell_size_m: float,
+) -> List[Tuple[Dataset, float]]:
+    """``(protected, area coverage)`` per ``(epsilon, seed)`` job, each
+    job computed from scratch."""
+    out = []
+    for epsilon, seed in jobs:
+        protected = _reference_block_geo_ind(dataset, epsilon, seed)
+        out.append(
+            (protected,
+             _reference_area_coverage(dataset, protected, cell_size_m))
+        )
+    return out
 
 
 # ----------------------------------------------------------------------

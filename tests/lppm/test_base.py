@@ -79,6 +79,37 @@ class TestPrimaryParam:
         with pytest.raises(ValueError, match="positional-only"):
             base.primary_param("positional_only")
 
+    def test_inspected_once_per_class(self, monkeypatch):
+        import inspect
+
+        import repro.lppm.base as base
+
+        class First:
+            def __init__(self, radius_m):
+                pass
+
+        class Second:
+            def __init__(self, sigma_s):
+                pass
+
+        calls = []
+        signature = inspect.signature
+
+        def counting_signature(obj):
+            calls.append(obj)
+            return signature(obj)
+
+        monkeypatch.setattr(base.inspect, "signature", counting_signature)
+        registry = {"knob": First}
+        monkeypatch.setattr(base, "lppm_class", lambda name: registry[name])
+        assert base.primary_param("knob") == "radius_m"
+        assert base.primary_param("knob") == "radius_m"
+        assert calls == [First.__init__]
+        # The name registered again to another class resolves afresh.
+        registry["knob"] = Second
+        assert base.primary_param("knob") == "sigma_s"
+        assert calls == [First.__init__, Second.__init__]
+
     def test_name_attribute_set(self):
         assert GeoIndistinguishability.name == "geo_ind"
 

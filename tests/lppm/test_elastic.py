@@ -61,9 +61,31 @@ class TestElasticGeoInd:
         with pytest.raises(ValueError):
             ElasticGeoIndistinguishability(0.01, max_scale=0.5)
 
+    @pytest.mark.parametrize("knobs", [
+        {"max_scale": float("nan")},
+        {"max_scale": float("inf")},
+        {"cell_size_m": float("nan")},
+        {"cell_size_m": float("inf")},
+        {"cell_size_m": 0.0},
+        {"cell_size_m": -400.0},
+        {"exponent": float("nan")},
+    ])
+    def test_non_finite_or_out_of_range_knobs_rejected(self, knobs):
+        with pytest.raises(ValueError):
+            ElasticGeoIndistinguishability(0.01, **knobs)
+
     def test_params(self):
         lppm = ElasticGeoIndistinguishability(0.02, exponent=0.3)
-        assert lppm.params() == {"epsilon": 0.02, "exponent": 0.3}
+        assert lppm.params() == {
+            "epsilon": 0.02,
+            "exponent": 0.3,
+            "max_scale": 4.0,
+            "cell_size_m": 400.0,
+        }
+        assert repr(lppm) == (
+            "ElasticGeoIndistinguishability(epsilon=0.02, exponent=0.3, "
+            "max_scale=4.0, cell_size_m=400.0)"
+        )
 
     def test_per_point_epsilons_follow_density(self, clustered_dataset):
         dmap = DensityMap.from_dataset(clustered_dataset, cell_size_m=400.0)

@@ -29,6 +29,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Trace("u", [0.0], [0.0], [181.0])
 
+    @pytest.mark.parametrize("field", ["times_s", "lats", "lons"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_values_rejected_naming_the_field(self, field, bad):
+        columns = {"times_s": [0.0, 60.0], "lats": [45.0, 45.1],
+                   "lons": [5.0, 5.1]}
+        columns[field][1] = bad
+        with pytest.raises(ValueError, match=f"trace {field} must be finite"):
+            Trace("u", columns["times_s"], columns["lats"], columns["lons"])
+
+    def test_trusted_constructor_does_not_check(self):
+        # The columnar fast path trusts its caller, NaN included.
+        t = Trace._from_trusted(
+            "u", np.array([0.0, np.inf]), np.array([np.nan, 45.0]),
+            np.array([5.0, 5.0]),
+        )
+        assert len(t) == 2
+
     def test_unsorted_input_sorted(self):
         t = Trace("u", [3.0, 1.0, 2.0], [30.0, 10.0, 20.0], [3.0, 1.0, 2.0])
         assert t.times_s.tolist() == [1.0, 2.0, 3.0]
@@ -154,3 +172,60 @@ class TestFunctionalUpdates:
     def test_slice_time_half_open(self, simple_trace):
         sub = simple_trace.slice_time(60.0, 180.0)
         assert sub.times_s.tolist() == [60.0, 120.0]
+
+
+class TestFiniteDataStillConstructs:
+    """Rejecting non-finite values must not reject anything the
+    library itself produces: every synthetic generator's traces and
+    every mechanism's protected traces rebuild through the checked
+    constructor unchanged."""
+
+    @staticmethod
+    def _rebuilt(dataset):
+        for trace in dataset.traces:
+            assert Trace(trace.user, trace.times_s, trace.lats,
+                         trace.lons) == trace
+
+    def test_synthetic_generators(self):
+        from repro.synth import (
+            CommuterConfig,
+            LevyFlightConfig,
+            RandomWaypointConfig,
+            TaxiFleetConfig,
+            generate_commuters,
+            generate_levy_flight,
+            generate_random_waypoint,
+            generate_taxi_fleet,
+        )
+
+        for dataset in (
+            generate_taxi_fleet(TaxiFleetConfig(n_cabs=2, seed=3)),
+            generate_commuters(CommuterConfig(n_users=2, n_days=1, seed=3)),
+            generate_random_waypoint(RandomWaypointConfig(n_users=2, seed=3)),
+            generate_levy_flight(LevyFlightConfig(n_users=2, seed=3)),
+        ):
+            assert dataset.n_records
+            self._rebuilt(dataset)
+
+    def test_every_mechanism_output(self, taxi_dataset):
+        from repro.lppm import Pipeline, available_lppms, lppm_class
+        from repro.lppm import primary_param
+        from repro.lppm.base import _protect_single_trace
+
+        defaults = {
+            "elastic_geo_ind": 0.01, "gaussian": 50.0, "geo_ind": 0.01,
+            "promesse": 100.0, "rounding": 200.0, "subsampling": 0.5,
+            "time_perturbation": 60.0, "uniform_disk": 100.0,
+        }
+        assert sorted(defaults) == available_lppms()
+        mechanisms = [
+            lppm_class(name)(**{primary_param(name): value})
+            for name, value in defaults.items()
+        ]
+        mechanisms.append(Pipeline([mechanisms[-1], mechanisms[0]]))
+        for lppm in mechanisms:
+            # The block path (trusted reassembly) and the per-trace
+            # path (the checked constructor) alike.
+            self._rebuilt(lppm.protect(taxi_dataset, seed=4))
+            for trace in taxi_dataset.traces:
+                _protect_single_trace(lppm, 4, trace)

@@ -12,7 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.lppm import GeoIndistinguishability, Subsampling
+from repro.lppm import (
+    ElasticGeoIndistinguishability,
+    GeoIndistinguishability,
+    Subsampling,
+)
 from repro.mobility import Dataset
 from repro.streaming import (
     DEFAULT_WINDOW_S,
@@ -201,6 +205,22 @@ class TestSessionManager:
             manager.update("t", "s", [(0.0, 95.0, 0.0)], lppm=lppm)
         assert not isinstance(excinfo.value, StreamConflict)
         assert manager.get("t", "s").updates == 1
+
+    @pytest.mark.parametrize("knobs", [
+        {"max_scale": 2.0}, {"cell_size_m": 250.0},
+    ])
+    def test_elastic_knob_change_is_a_conflict(self, knobs):
+        # Every knob is in params(), so reconfiguring a live elastic
+        # session with a different one is refused, not ignored.
+        manager = SessionManager()
+        lppm = ElasticGeoIndistinguishability(0.05)
+        manager.update("t", "s", _records(2), lppm=lppm)
+        manager.update("t", "s", _records(1, start=200.0),
+                       lppm=ElasticGeoIndistinguishability(0.05))
+        with pytest.raises(StreamConflict, match="lppm"):
+            manager.update("t", "s", _records(1, start=400.0),
+                           lppm=ElasticGeoIndistinguishability(0.05, **knobs))
+        assert manager.get("t", "s").updates == 3
 
     def test_capacity_eviction_is_lru(self):
         manager = SessionManager(max_sessions=2)
