@@ -14,9 +14,11 @@ entirely from the content-addressed store.
 
 A fifth regime, *small fleets*, fits 20 never-seen 2-cab fleets (the
 shape of a cold ``/recommend``: 8 points × 2 replications each)
-through one engine, serial against process, best of 3.  With more than
-one CPU the process engine must beat serial there, and it must build
-exactly one worker pool for all 20 fleets.
+through one engine per backend, serial against process, each fleet
+fitted on both back to back (three repeats).  With more than one CPU
+the process engine must beat serial there, by the median of the
+repeats' paired serial/process ratios, and it must build exactly one
+worker pool for all 20 fleets.
 
 Run with ``--smoke`` for a fast CI-sized configuration of the first
 four regimes; the small-fleets regime runs at full size either way.
@@ -30,6 +32,7 @@ import argparse
 import json
 import os
 import shutil
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -62,28 +65,51 @@ SMALL_REPLICATIONS = 2
 SMALL_REPEATS = 3
 
 
-def _time_small_fleets(policy: str, jobs) -> tuple[float, int]:
-    """Best-of-3 wall-clock per fit over fresh 2-cab fleets, and the
-    number of worker pools the process engine built (0 for serial)."""
-    best, pools = float("inf"), 0
+def _time_small_fleets(jobs) -> tuple[float, float, float, int]:
+    """Serial against process over fresh 2-cab fleets, fit by fit.
+
+    Each repeat opens one engine per backend and fits every fleet on
+    both, back to back, alternating which goes first, so both sides
+    see the same host speed.  Returns the median over repeats of each
+    side's wall-clock per fit, the median of the repeats' paired
+    serial/process ratios, and the number of worker pools the process
+    engine built (the most in any repeat).
+    """
+    serial_fits, process_fits, ratios, pools = [], [], [], 0
     for repeat in range(SMALL_REPEATS):
-        # Fresh dataset objects per repeat: nothing memoised on a
-        # fleet (columns, fingerprint) carries over between repeats.
-        fleets = [
-            generate_taxi_fleet(TaxiFleetConfig(n_cabs=2, seed=1000 + i))
-            for i in range(SMALL_FLEETS)
-        ]
-        with EvaluationEngine(engine=policy, jobs=jobs) as engine:
-            start = time.perf_counter()
-            for fleet in fleets:
-                Configurator(
-                    geo_ind_system(), fleet, n_points=SMALL_POINTS,
-                    n_replications=SMALL_REPLICATIONS, engine=engine,
-                ).fit()
-            best = min(best, (time.perf_counter() - start) / SMALL_FLEETS)
-            if engine._process is not None:
-                pools = max(pools, engine._process.pools_built)
-    return best, pools
+        # Fresh dataset objects per repeat and per backend: nothing
+        # memoised on a fleet (columns, fingerprint, sweep noise)
+        # carries over between repeats or from one backend to the other.
+        fleets = {
+            policy: [
+                generate_taxi_fleet(TaxiFleetConfig(n_cabs=2, seed=1000 + i))
+                for i in range(SMALL_FLEETS)
+            ]
+            for policy in ("serial", "process")
+        }
+        elapsed = {"serial": 0.0, "process": 0.0}
+        with EvaluationEngine(engine="serial", jobs=jobs) as serial, \
+                EvaluationEngine(engine="process", jobs=jobs) as process:
+            engines = {"serial": serial, "process": process}
+            for i in range(SMALL_FLEETS):
+                order = ("serial", "process") if i % 2 == 0 else \
+                    ("process", "serial")
+                for policy in order:
+                    start = time.perf_counter()
+                    Configurator(
+                        geo_ind_system(), fleets[policy][i],
+                        n_points=SMALL_POINTS,
+                        n_replications=SMALL_REPLICATIONS,
+                        engine=engines[policy],
+                    ).fit()
+                    elapsed[policy] += time.perf_counter() - start
+            if process._process is not None:
+                pools = max(pools, process._process.pools_built)
+        serial_fits.append(elapsed["serial"] / SMALL_FLEETS)
+        process_fits.append(elapsed["process"] / SMALL_FLEETS)
+        ratios.append(elapsed["serial"] / elapsed["process"])
+    return (statistics.median(serial_fits), statistics.median(process_fits),
+            statistics.median(ratios), pools)
 
 
 def main() -> None:
@@ -138,8 +164,8 @@ def main() -> None:
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
-    small_serial, _ = _time_small_fleets("serial", args.jobs)
-    small_process, pools_built = _time_small_fleets("process", args.jobs)
+    small_serial, small_process, small_speedup, pools_built = \
+        _time_small_fleets(args.jobs)
     workers = args.jobs or os.cpu_count() or 1
 
     print()
@@ -151,11 +177,11 @@ def main() -> None:
               f"{serial_cold / process_cold:.2f}x")
     print(f"speedup (serial, cold/warm):    {serial_cold / max(serial_warm, 1e-9):.0f}x")
     print(f"\nsmall fleets ({SMALL_FLEETS} new 2-cab fleets, "
-          f"{SMALL_POINTS} points x {SMALL_REPLICATIONS} seeds, best of "
-          f"{SMALL_REPEATS}): serial {small_serial * 1e3:.1f} ms/fit, "
-          f"process {small_process * 1e3:.1f} ms/fit on {workers} workers "
-          f"({small_serial / small_process:.2f}x), "
-          f"{pools_built} pool(s) built")
+          f"{SMALL_POINTS} points x {SMALL_REPLICATIONS} seeds, median of "
+          f"{SMALL_REPEATS} paired repeats): serial "
+          f"{small_serial * 1e3:.1f} ms/fit, process "
+          f"{small_process * 1e3:.1f} ms/fit on {workers} workers "
+          f"({small_speedup:.2f}x), {pools_built} pool(s) built")
 
     if args.json is not None:
         payload = {
@@ -189,9 +215,7 @@ def main() -> None:
                 "workers": workers,
                 "serial_ms_per_fit": round(small_serial * 1e3, 2),
                 "process_ms_per_fit": round(small_process * 1e3, 2),
-                "speedup_serial_over_process": round(
-                    small_serial / small_process, 3
-                ),
+                "speedup_serial_over_process": round(small_speedup, 3),
                 "pools_built": pools_built,
             },
         }
@@ -209,10 +233,12 @@ def main() -> None:
         raise SystemExit(
             f"FAIL: small fleets built {pools_built} worker pools, want 1"
         )
-    if workers > 1 and small_process >= small_serial:
+    if workers > 1 and small_speedup <= 1.0:
         raise SystemExit(
-            f"FAIL: small fleets: process {small_process * 1e3:.1f} ms/fit "
-            f"is not below serial {small_serial * 1e3:.1f} ms/fit"
+            f"FAIL: small fleets: process is not below serial (paired "
+            f"serial/process {small_speedup:.2f}x; process "
+            f"{small_process * 1e3:.1f} ms/fit, serial "
+            f"{small_serial * 1e3:.1f} ms/fit)"
         )
     print("small-fleets gates hold: one pool, process below serial"
           if workers > 1 else

@@ -13,7 +13,11 @@ workload:
   circuits in the middleware pipeline (one dict lookup per request).
 
 Then an HTTP section reports requests/sec over real sockets (threaded
-stdlib server, warm cache) for ``/sweep`` and ``/healthz``, and an
+stdlib server, warm cache) for ``/sweep`` and ``/healthz`` and gates
+the transport: 200 sequential requests may start at most 2 handler
+threads, and 50 requests on one keep-alive connection must keep a p50
+under 5 ms.  It also reports a real daemon's CPU per cached request,
+from the daemon's own ``/proc/<pid>/stat``.  An
 **async tier** compares N concurrent *distinct* cold sweeps issued
 synchronously (each client thread blocks on its own POST /sweep)
 against the same workload submitted as jobs (POST /jobs + poll):
@@ -58,6 +62,7 @@ import sys
 import tempfile
 import threading
 import time
+from http.client import HTTPConnection
 from pathlib import Path
 
 from repro.service import ConfigService, HttpServiceClient, ServiceClient
@@ -346,6 +351,114 @@ def _run_hardening_tier(args, results: dict) -> None:
         )
 
 
+#: Sequential requests behind the handler-thread gate, requests on one
+#: keep-alive connection behind the latency gate, and requests per
+#: endpoint behind the daemon's CPU-per-request row.
+SEQUENTIAL_REQUESTS = 200
+KEEPALIVE_REQUESTS = 50
+CPU_REQUESTS = 400
+
+#: Gates of the transport rows: a handler thread per connection (or a
+#: response stalled on a delayed ACK, about 40 ms) fails them.
+MAX_THREADS_STARTED = 2
+MAX_KEEPALIVE_P50_MS = 5.0
+
+
+def _cpu_seconds(pid: int):
+    """User + system CPU seconds of ``pid`` from ``/proc/<pid>/stat``,
+    or ``None`` where there is no procfs."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            # Fields after the parenthesised command name, from field 3
+            # on: utime and stime are fields 14 and 15.
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def _run_transport_rows(app, dataset, sweep_kwargs, results: dict) -> None:
+    """Handler threads and keep-alive latency (gated), and the daemon's
+    own CPU per cached request (reported)."""
+    server = app.make_server("127.0.0.1", 0)
+    host, port = server.server_address[:2]
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        http = HttpServiceClient(f"http://{host}:{port}")
+        for _ in range(SEQUENTIAL_REQUESTS):
+            http.healthz()
+        threads_started = server.threads_started
+        connection = HTTPConnection(host, port, timeout=60)
+        samples = []
+        try:
+            for _ in range(KEEPALIVE_REQUESTS):
+                start = time.perf_counter()
+                connection.request("GET", "/healthz")
+                connection.getresponse().read()
+                samples.append(time.perf_counter() - start)
+        finally:
+            connection.close()
+    finally:
+        server.shutdown()
+        server.server_close()
+    keepalive_p50_ms = statistics.median(samples) * 1000.0
+
+    cache_dir = Path(tempfile.mkdtemp(prefix="bench-transport-"))
+    process, url = _start_daemon(1, cache_dir)
+    cpu_ms = {}
+    try:
+        daemon = HttpServiceClient(url, timeout_s=600.0)
+        daemon.sweep(dataset, **sweep_kwargs)
+        for name, call in (
+            ("sweep_cached", lambda: daemon.sweep(dataset, **sweep_kwargs)),
+            ("healthz", daemon.healthz),
+        ):
+            before = _cpu_seconds(process.pid)
+            for _ in range(CPU_REQUESTS):
+                call()
+            after = _cpu_seconds(process.pid)
+            cpu_ms[name] = (
+                None if before is None or after is None
+                else round((after - before) * 1000.0 / CPU_REQUESTS, 3)
+            )
+        process.send_signal(signal.SIGTERM)
+        returncode = process.wait(timeout=30.0)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=10.0)
+        shutil.rmtree(cache_dir, ignore_errors=True)
+
+    print(f"HTTP handler threads started over {SEQUENTIAL_REQUESTS} "
+          f"sequential requests: {threads_started} "
+          f"(gate <= {MAX_THREADS_STARTED})")
+    print(f"HTTP keep-alive p50 over {KEEPALIVE_REQUESTS} requests on one "
+          f"connection: {keepalive_p50_ms:.3f} ms "
+          f"(gate < {MAX_KEEPALIVE_P50_MS:g} ms)")
+    print(f"daemon CPU per request ({CPU_REQUESTS} each, /proc/<pid>/stat): "
+          + ", ".join(f"{name} {value} ms" for name, value in cpu_ms.items()))
+    results["http"].update({
+        "threads_started_sequential": threads_started,
+        "keepalive_p50_ms": round(keepalive_p50_ms, 3),
+        "daemon_cpu_ms_per_request": cpu_ms,
+    })
+    if returncode != 0:
+        raise SystemExit(f"FAIL: transport rows: daemon exited "
+                         f"{returncode} on SIGTERM")
+    if threads_started > MAX_THREADS_STARTED:
+        raise SystemExit(
+            f"FAIL: {SEQUENTIAL_REQUESTS} sequential requests started "
+            f"{threads_started} handler threads, want <= "
+            f"{MAX_THREADS_STARTED}"
+        )
+    if keepalive_p50_ms >= MAX_KEEPALIVE_P50_MS:
+        raise SystemExit(
+            f"FAIL: keep-alive p50 {keepalive_p50_ms:.2f} ms, want < "
+            f"{MAX_KEEPALIVE_P50_MS:g} ms"
+        )
+
+
 def _start_daemon(
     processes: int, cache_dir: Path
 ) -> "tuple[subprocess.Popen, str]":
@@ -603,7 +716,6 @@ def main() -> None:
     finally:
         server.shutdown()
         server.server_close()
-        client.close()
 
     print()
     print(f"HTTP /sweep   (warm): {args.repeats / http_sweep_s:>8.0f} req/s")
@@ -627,6 +739,15 @@ def main() -> None:
             "healthz_rps": round(args.repeats / http_health_s, 3),
         },
     }
+
+    try:
+        _run_transport_rows(
+            app, dataset,
+            {"points": args.points, "replications": args.replications},
+            results,
+        )
+    finally:
+        client.close()
 
     # ------------------------------------------------------------------
     # Async tier: concurrent sweeps, sync vs jobs

@@ -26,12 +26,19 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..analysis.cache import InstanceMemo
 from ..geo import LatLon, LocalProjection, SpatialGrid
 from ..mobility import Dataset, Trace, TraceBlock
 from .base import LPPM, register_lppm
 from .geo_ind import _unit_noise, planar_laplace_radii
 
 __all__ = ["DensityMap", "ElasticGeoIndistinguishability"]
+
+#: The density prior :meth:`ElasticGeoIndistinguishability.protect`
+#: builds from a dataset, per (dataset block, ``cell_size_m``): a sweep
+#: protects one dataset at every ε, and the prior depends on neither ε
+#: nor the seed.  Released together with the block.
+_PRIORS = InstanceMemo(max_keys=2)
 
 
 class DensityMap:
@@ -121,7 +128,10 @@ class ElasticGeoIndistinguishability(LPPM):
         models where *people in general* are, not where this user is.
         """
         if self.density is None:
-            prior = DensityMap.from_dataset(dataset, self.cell_size_m)
+            prior = _PRIORS.get(
+                dataset.columns(), self.cell_size_m,
+                lambda: DensityMap.from_dataset(dataset, self.cell_size_m),
+            )
             elastic = ElasticGeoIndistinguishability(
                 self.epsilon, self.exponent, self.max_scale,
                 self.cell_size_m, prior,

@@ -35,6 +35,7 @@ import inspect
 import json
 import logging
 import os
+import queue
 import signal
 import threading
 import time
@@ -451,9 +452,70 @@ class ConfigService:
         self.state.close(timeout_s=remaining)
 
 
+#: Idle handler threads a server keeps parked for the next connection.
+#: More connections than this at once still each get a thread; the
+#: surplus threads end when their connection does.
+MAX_IDLE_HANDLERS = 16
+
+
 class _QuietThreadingHTTPServer(ThreadingHTTPServer):
-    """Threaded server that logs client disconnects instead of
-    dumping socketserver's default traceback to stderr."""
+    """Threaded server over reused handler threads, which logs client
+    disconnects instead of dumping socketserver's default traceback.
+
+    Each connection runs on its own thread, as with the stdlib server,
+    but a thread whose connection ends parks for the next one instead
+    of exiting: starting an OS thread per connection cost more server
+    CPU than a cached request's whole dispatch.  An accepted socket
+    goes to the most recently parked thread, or to a new daemon thread
+    when none is idle, so concurrency stays unbounded (``/healthz``
+    never queues behind a sweep).  ``threads_started`` counts the
+    handler threads this server has started.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        # Set before socketserver's __init__, which calls server_close()
+        # itself when binding fails.
+        self._handlers_lock = threading.Lock()
+        self._idle_handlers: list = []
+        self._handlers_closed = False
+        self.threads_started = 0
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._handlers_lock:
+            if self._idle_handlers:
+                self._idle_handlers.pop().put((request, client_address))
+                return
+            self.threads_started += 1
+            name = f"http-handler-{self.threads_started}"
+        threading.Thread(
+            target=self._handler_loop, args=(request, client_address),
+            name=name, daemon=True,
+        ).start()
+
+    def _handler_loop(self, request, client_address) -> None:
+        inbox = queue.SimpleQueue()
+        while True:
+            # The stdlib's own per-connection body: finish_request,
+            # handle_error on failure, shutdown_request always.
+            self.process_request_thread(request, client_address)
+            with self._handlers_lock:
+                if (self._handlers_closed
+                        or len(self._idle_handlers) >= MAX_IDLE_HANDLERS):
+                    return
+                self._idle_handlers.append(inbox)
+            handed = inbox.get()
+            if handed is None:
+                return
+            request, client_address = handed
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._handlers_lock:
+            self._handlers_closed = True
+            idle, self._idle_handlers = self._idle_handlers, []
+        for inbox in idle:
+            inbox.put(None)
 
     def handle_error(self, request, client_address) -> None:
         import sys
@@ -597,8 +659,15 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
         for name, value in response.headers.items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
+        if self.request_version == "HTTP/0.9":
+            # No status line or headers in 0.9: nothing was buffered.
+            self.wfile.write(payload)
+            return
+        # Head and body leave in one write: sent as two, the body waits
+        # under Nagle's algorithm for the client's delayed ACK of the
+        # head, about 40 ms on every keep-alive request after the first.
+        self._headers_buffer.extend((b"\r\n", payload))
+        self.flush_headers()
 
     def log_message(self, format: str, *args) -> None:
         # The logging middleware already emits one structured line per

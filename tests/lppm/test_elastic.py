@@ -121,6 +121,42 @@ class TestElasticGeoInd:
         for user in clustered_dataset.users:
             assert a[user] == b[user]
 
+    def test_sweep_builds_the_prior_once(self, clustered_dataset,
+                                         monkeypatch):
+        """An 8-ε sweep over one dataset builds its density prior once,
+        and every release matches a cold per-call build byte for byte."""
+        epsilons = np.geomspace(0.001, 0.1, 8)
+        expected = []
+        for eps in epsilons:
+            cold = Dataset.from_traces(list(clustered_dataset.traces))
+            expected.append(
+                ElasticGeoIndistinguishability(eps).protect(cold, seed=5)
+            )
+        builds = []
+        build = DensityMap.from_dataset.__func__
+
+        def counting(cls, *args, **kwargs):
+            builds.append(args)
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(DensityMap, "from_dataset",
+                            classmethod(counting))
+        for eps, reference in zip(epsilons, expected):
+            out = ElasticGeoIndistinguishability(eps).protect(
+                clustered_dataset, seed=5
+            )
+            for user in clustered_dataset.users:
+                assert out[user].lats.tobytes() == \
+                    reference[user].lats.tobytes()
+                assert out[user].lons.tobytes() == \
+                    reference[user].lons.tobytes()
+        assert len(builds) == 1
+        # Another cell size is another prior.
+        ElasticGeoIndistinguishability(0.01, cell_size_m=200.0).protect(
+            clustered_dataset, seed=5
+        )
+        assert len(builds) == 2
+
     def test_registry_name(self):
         from repro.lppm import lppm_class
 

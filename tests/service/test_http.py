@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -242,3 +243,316 @@ class TestJobsOverHttp:
     def test_jobs_listing_over_http(self, http_client):
         listing = http_client.jobs()
         assert "jobs" in listing and "workers" in listing
+
+
+@pytest.fixture
+def fresh_server():
+    """A server of its own, so counts on it are this test's alone."""
+    app = ConfigService()
+    server = app.make_server("127.0.0.1", 0)
+    host, port = server.server_address[:2]
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server, f"http://{host}:{port}", app
+    finally:
+        server.shutdown()
+        server.server_close()
+        app.close()
+        thread.join(timeout=5)
+
+
+def _get(url: str) -> bytes:
+    with urllib.request.urlopen(url, timeout=30) as response:
+        return response.read()
+
+
+def _await_parked(server) -> None:
+    """Wait until every handler thread of ``server`` is idle again.
+
+    A client can read a response before its thread is back from the
+    write and parked; on a busy host the next connection would then
+    get a thread of its own.
+    """
+    deadline = time.monotonic() + 10.0
+    while (len(server._idle_handlers) < server.threads_started
+           and time.monotonic() < deadline):
+        time.sleep(0.0005)
+
+
+class TestKeepAlive:
+    def test_thirty_requests_on_one_connection_finish_fast(
+        self, fresh_server,
+    ):
+        """Each response leaves in one write, so no request on a
+        persistent connection waits for the client's delayed ACK
+        (about 40 ms each when head and body went out separately)."""
+        import gzip
+        import http.client
+
+        server, base_url, _ = fresh_server
+        host, port = server.server_address[:2]
+        body = json.dumps(
+            {"dataset": TAXI, "points": 4, "replications": 1}
+        ).encode("utf-8")
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            # Warm the response cache so the timing is transport only.
+            connection.request("POST", "/sweep", body=body)
+            connection.getresponse().read()
+            statuses = []
+            start = time.perf_counter()
+            for i in range(30):
+                if i % 3 == 0:
+                    connection.request("GET", "/healthz")
+                elif i % 3 == 1:
+                    connection.request("POST", "/sweep", body=body, headers={
+                        "Content-Type": "application/json",
+                        "Accept-Encoding": "gzip",
+                    })
+                else:
+                    connection.request("GET", "/no-such-endpoint")
+                response = connection.getresponse()
+                payload = response.read()
+                if response.headers.get("Content-Encoding") == "gzip":
+                    payload = gzip.decompress(payload)
+                json.loads(payload)
+                statuses.append(response.status)
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        assert statuses == [200, 200, 404] * 10
+        assert elapsed < 0.6, f"30 keep-alive requests took {elapsed:.2f} s"
+
+    def test_http_09_request_gets_the_bare_body(self, http_service):
+        import socket
+
+        base_url, _ = http_service
+        host, port = base_url[len("http://"):].split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        assert json.loads(b"".join(chunks))["status"] == "ok"
+
+
+class TestHandlerThreads:
+    """Connections run on reused handler threads, never queued."""
+
+    def test_sequential_requests_reuse_one_thread(self, fresh_server):
+        """200 sequential connections, each sent once the previous
+        one's thread has parked, all run on the first thread."""
+        server, base_url, _ = fresh_server
+        for _ in range(200):
+            _get(base_url + "/healthz")
+            _await_parked(server)
+        assert server.threads_started == 1
+
+    def test_blocked_requests_do_not_starve_healthz(
+        self, fresh_server, monkeypatch,
+    ):
+        """More connections than MAX_IDLE_HANDLERS blocked at once each
+        get a thread, /healthz still answers, and once they finish only
+        MAX_IDLE_HANDLERS threads stay parked."""
+        from repro.service.app import MAX_IDLE_HANDLERS
+
+        server, base_url, app = fresh_server
+        blocked = MAX_IDLE_HANDLERS + 4
+        before = set(threading.enumerate())
+        arrived = threading.Semaphore(0)
+        release = threading.Event()
+        original = app.dispatch
+
+        def dispatch(request):
+            if request.path == "/block":
+                arrived.release()
+                release.wait(timeout=30)
+            return original(request)
+
+        monkeypatch.setattr(app, "dispatch", dispatch)
+        outcomes = []
+
+        def hit():
+            try:
+                _get(base_url + "/block")
+            except urllib.error.HTTPError as exc:
+                outcomes.append(exc.code)
+
+        clients = [threading.Thread(target=hit) for _ in range(blocked)]
+        for client in clients:
+            client.start()
+        try:
+            for _ in range(blocked):
+                assert arrived.acquire(timeout=30)
+            # Every handler thread is busy: /healthz gets a new one.
+            assert json.loads(_get(base_url + "/healthz"))["status"] == "ok"
+        finally:
+            release.set()
+            for client in clients:
+                client.join(timeout=30)
+        assert not any(client.is_alive() for client in clients)
+        assert outcomes == [404] * blocked
+        assert server.threads_started >= blocked + 1
+
+        def handlers():
+            return [thread for thread in threading.enumerate()
+                    if thread not in before
+                    and thread.name.startswith("http-handler-")]
+
+        deadline = time.monotonic() + 10.0
+        while (len(handlers()) > MAX_IDLE_HANDLERS
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert len(handlers()) == MAX_IDLE_HANDLERS
+        assert len(server._idle_handlers) == MAX_IDLE_HANDLERS
+
+    def test_server_close_releases_parked_threads(self):
+        # Threads of earlier tests may still be winding down: compare
+        # by identity, not only by count.
+        baseline = set(threading.enumerate())
+        for _ in range(3):
+            app = ConfigService()
+            server = app.make_server("127.0.0.1", 0)
+            host, port = server.server_address[:2]
+            loop = threading.Thread(target=server.serve_forever, daemon=True)
+            loop.start()
+            clients = [
+                threading.Thread(
+                    target=_get, args=(f"http://{host}:{port}/healthz",),
+                )
+                for _ in range(6)
+            ]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(timeout=30)
+            assert server.threads_started >= 1
+            server.shutdown()
+            server.server_close()
+            app.close()
+            loop.join(timeout=5)
+            assert not loop.is_alive()
+        deadline = time.monotonic() + 10.0
+        while (set(threading.enumerate()) - baseline
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert not set(threading.enumerate()) - baseline
+        assert threading.active_count() <= len(baseline)
+
+    def test_reused_thread_starts_with_clean_thread_local_state(
+        self, fresh_server, monkeypatch,
+    ):
+        """A request's engine hooks, measure() counters and ambient
+        analysis cache end with it, not with its handler thread."""
+        from repro.analysis import cache as analysis_cache
+
+        server, base_url, app = fresh_server
+        engine = app.state.engine
+        original_dispatch = app.dispatch
+        original_run = engine.run
+        entries, inside = [], []
+
+        def tls_state():
+            return (
+                getattr(engine._tls, "hooks", None),
+                list(getattr(engine._tls, "counters", None) or ()),
+                analysis_cache.current_cache() is
+                analysis_cache.default_cache(),
+            )
+
+        def dispatch(request):
+            entries.append((threading.get_ident(), tls_state()))
+            return original_dispatch(request)
+
+        def run(*args, **kwargs):
+            inside.append(tls_state())
+            return original_run(*args, **kwargs)
+
+        monkeypatch.setattr(app, "dispatch", dispatch)
+        monkeypatch.setattr(engine, "run", run)
+        for seed in (31, 32, 33):
+            request = urllib.request.Request(
+                base_url + "/sweep",
+                data=json.dumps({
+                    "dataset": {"workload": "taxi", "users": 3,
+                                "seed": seed},
+                    "points": 4, "replications": 1,
+                }).encode("utf-8"),
+                headers={"Content-Type": "application/json",
+                         "X-Request-Deadline-Ms": "60000"},
+            )
+            with urllib.request.urlopen(request, timeout=60) as response:
+                assert response.status == 200
+            _await_parked(server)
+            _get(base_url + "/healthz")
+            _await_parked(server)
+        # The sweeps ran with hooks and a measure() counter installed
+        # on their handler threads ...
+        assert inside
+        assert all(hooks is not None and counters
+                   for hooks, counters, _ in inside)
+        # ... and every request, all six on the one reused thread,
+        # started with none of it.
+        assert server.threads_started == 1
+        assert len({ident for ident, _ in entries}) == 1
+        assert all(state == (None, [], True) for _, state in entries)
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_sigterm_with_parked_threads_exits_zero(self, tmp_path,
+                                                    processes):
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src_root = Path(repro.__file__).parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src_root) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        command = [sys.executable, "-m", "repro.cli", "serve",
+                   "--port", "0", "--workers", "1", "--grace", "5",
+                   "--cache-dir", str(tmp_path)]
+        if processes > 1:
+            command += ["--processes", str(processes)]
+        process = subprocess.Popen(
+            command, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True, env=env,
+        )
+        try:
+            base_url = None
+            deadline = time.monotonic() + 60.0
+            while base_url is None and time.monotonic() < deadline:
+                line = process.stdout.readline()
+                if not line:
+                    break
+                match = re.search(r"listening on (http://[\d.]+:\d+)", line)
+                if match:
+                    base_url = match.group(1)
+            assert base_url is not None, "daemon never announced itself"
+            # Overlapping connections leave several threads parked in
+            # every worker that served one.
+            clients = [
+                threading.Thread(target=_get, args=(base_url + "/healthz",))
+                for _ in range(8)
+            ]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(timeout=30)
+            assert not any(client.is_alive() for client in clients)
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30.0) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10.0)
+            process.stdout.close()
