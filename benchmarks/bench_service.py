@@ -17,7 +17,11 @@ stdlib server, warm cache) for ``/sweep`` and ``/healthz`` and gates
 the transport: 200 sequential requests may start at most 2 handler
 threads, and 50 requests on one keep-alive connection must keep a p50
 under 5 ms.  It also reports a real daemon's CPU per cached request,
-from the daemon's own ``/proc/<pid>/stat``.  An
+from the daemon's own ``/proc/<pid>/stat``.  **Boot and footprint**
+rows boot idle daemons (``--processes 1`` and N) and report the time
+from spawn to the first ``/healthz`` 200 and each process's peak RSS
+(``VmHWM``); they fail if an idle daemon maps any scipy shared object
+(``/proc/<pid>/maps``), since only geo-I noise draws need scipy.  An
 **async tier** compares N concurrent *distinct* cold sweeps issued
 synchronously (each client thread blocks on its own POST /sweep)
 against the same workload submitted as jobs (POST /jobs + poll):
@@ -377,6 +381,19 @@ def _cpu_seconds(pid: int):
     return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
 
 
+def _await_parked(server) -> None:
+    """Wait until every handler thread of ``server`` is idle again.
+
+    A client can read a response before its thread is back from the
+    write and parked; on a busy host the next connection would then get
+    a thread of its own, which measures the host, not the thread reuse.
+    """
+    deadline = time.monotonic() + 10.0
+    while (len(server._idle_handlers) < server.threads_started
+           and time.monotonic() < deadline):
+        time.sleep(0.0005)
+
+
 def _run_transport_rows(app, dataset, sweep_kwargs, results: dict) -> None:
     """Handler threads and keep-alive latency (gated), and the daemon's
     own CPU per cached request (reported)."""
@@ -387,6 +404,7 @@ def _run_transport_rows(app, dataset, sweep_kwargs, results: dict) -> None:
     try:
         http = HttpServiceClient(f"http://{host}:{port}")
         for _ in range(SEQUENTIAL_REQUESTS):
+            _await_parked(server)
             http.healthz()
         threads_started = server.threads_started
         connection = HTTPConnection(host, port, timeout=60)
@@ -490,6 +508,99 @@ def _start_daemon(
         f"FAIL: processes tier: daemon (--processes {processes}) "
         "never announced its address"
     )
+
+
+def _proc_tree(pid: int) -> list:
+    """``pid`` and its direct children (pre-fork workers), from procfs."""
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children", encoding="ascii") as fh:
+            return [pid] + [int(child) for child in fh.read().split()]
+    except OSError:
+        return [pid]
+
+
+def _vm_hwm_mb(pid: int):
+    """Peak resident set (``VmHWM``) of ``pid`` in MB, or ``None``."""
+    try:
+        with open(f"/proc/{pid}/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return round(int(line.split()[1]) / 1024.0, 1)
+    except OSError:
+        pass
+    return None
+
+
+def _scipy_objects(pid: int):
+    """scipy shared objects mapped by ``pid``, or ``None`` without
+    procfs."""
+    try:
+        with open(f"/proc/{pid}/maps", encoding="ascii") as fh:
+            return sorted(set(re.findall(
+                r"/\S*/scipy(?:\.libs)?/\S*\.so\S*", fh.read()
+            )))
+    except OSError:
+        return None
+
+
+def _run_boot_rows(args, results: dict) -> None:
+    """Daemon boot time and idle footprint (reported), and a gate that
+    an idle daemon maps no scipy shared object: only a process that
+    draws geo-I noise loads scipy."""
+    boot_s, hwm_mb, scipy_objects = {}, {}, {}
+    for n in (1, args.processes):
+        cache_dir = Path(tempfile.mkdtemp(prefix=f"bench-boot-{n}-"))
+        start = time.perf_counter()
+        process, url = _start_daemon(n, cache_dir)
+        try:
+            # The daemon announces its address once it is accepting.
+            HttpServiceClient(url, timeout_s=60.0).healthz()
+            boot_s[n] = round(time.perf_counter() - start, 3)
+            pids = _proc_tree(process.pid)
+            hwm_mb[n] = [_vm_hwm_mb(pid) for pid in pids]
+            mapped = [_scipy_objects(pid) for pid in pids]
+            scipy_objects[n] = (
+                None if None in mapped
+                else sorted({path for paths in mapped for path in paths})
+            )
+            process.send_signal(signal.SIGTERM)
+            returncode = process.wait(timeout=30.0)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10.0)
+            shutil.rmtree(cache_dir, ignore_errors=True)
+        if returncode != 0:
+            raise SystemExit(f"FAIL: boot rows: daemon (--processes {n}) "
+                             f"exited {returncode} on SIGTERM")
+
+    print()
+    print("daemon boot, spawn to first /healthz 200: "
+          + ", ".join(f"--processes {n} {value:.3f} s"
+                      for n, value in boot_s.items()))
+    print("idle daemon VmHWM per process: "
+          + ", ".join(f"--processes {n} "
+                      + " + ".join(f"{mb} MB" for mb in values)
+                      for n, values in hwm_mb.items()))
+    print("scipy shared objects mapped by an idle daemon: "
+          + ", ".join(f"--processes {n} "
+                      f"{'n/a' if paths is None else len(paths)}"
+                      for n, paths in scipy_objects.items())
+          + " (gate 0)")
+    results["boot"] = {
+        "boot_s": boot_s,
+        "idle_vm_hwm_mb": hwm_mb,
+        "idle_scipy_objects": {
+            n: None if paths is None else len(paths)
+            for n, paths in scipy_objects.items()
+        },
+    }
+    for n, paths in scipy_objects.items():
+        if paths:
+            raise SystemExit(
+                f"FAIL: an idle daemon (--processes {n}) maps scipy: "
+                f"{paths[:3]}"
+            )
 
 
 def _run_processes_tier(args, results: dict) -> None:
@@ -758,6 +869,11 @@ def main() -> None:
     # Hardening tier: auth + limiter overhead, gzip savings (gated)
     # ------------------------------------------------------------------
     _run_hardening_tier(args, results)
+
+    # ------------------------------------------------------------------
+    # Boot and footprint: idle daemons (reported; scipy-free, gated)
+    # ------------------------------------------------------------------
+    _run_boot_rows(args, results)
 
     # ------------------------------------------------------------------
     # Processes tier: 1 vs N pre-fork workers over real daemons (gated)

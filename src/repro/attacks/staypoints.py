@@ -150,8 +150,11 @@ def extract_stay_points(
             block *= 2
         # Window is records i .. j-1 inclusive.
         if times[j - 1] - times[i] >= min_dwell_s:
-            sl = slice(i, j)
-            cx, cy = float(np.mean(x[sl])), float(np.mean(y[sl]))
+            # np.mean's own reduction and division, without its
+            # per-call dispatch: bit-identical, and called per stay.
+            sl, count = slice(i, j), j - i
+            cx = float(np.add.reduce(x[sl]) / count)
+            cy = float(np.add.reduce(y[sl]) / count)
             centre = projection.point_to_latlon(cx, cy)
             stays.append(
                 StayPoint(
@@ -159,7 +162,7 @@ def extract_stay_points(
                     lon=centre.lon,
                     t_start_s=float(times[i]),
                     t_end_s=float(times[j - 1]),
-                    n_records=j - i,
+                    n_records=count,
                 )
             )
             resume = j

@@ -208,6 +208,18 @@ def _run_in_worker(
             writer.send((token, i, value))
 
 
+def _import_before_fork() -> None:
+    """Finish importing, before a pool forks, what workers import lazily.
+
+    geo-I imports ``scipy.special`` on its first draw, and another
+    thread (a ``/stream`` chunk, say) may be inside that import now.  A
+    child forked then inherits the half-initialised module and an
+    import lock held by a thread it does not have, and hangs on its
+    own first draw; this import waits for the other one to finish.
+    """
+    import scipy.special  # noqa: F401
+
+
 def _slices(todo: List[int], n: int) -> List[List[int]]:
     """``todo`` in at most ``n`` contiguous slices, sizes within one."""
     m = len(todo)
@@ -301,6 +313,7 @@ class ProcessPoolBackend(ExecutionBackend):
                     "ProcessPoolBackend was force-closed during shutdown"
                 )
             if self._pool is None:
+                _import_before_fork()
                 ctx = self._mp_context()
                 reader, writer = ctx.Pipe(duplex=False)
                 batch = ctx.RawValue("q", 0)

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Mapping
 
 import numpy as np
-from scipy.special import lambertw
 
 from ..analysis.cache import InstanceMemo
 from ..geo import LocalProjection
@@ -45,8 +44,13 @@ def _unit_q(p: np.ndarray) -> np.ndarray:
     """``W₋₁((p − 1)/e) + 1`` (real part): the radius is ``-(1/ε)·q``.
 
     The ε-independent half of the polar Laplace radius, so a sweep
-    over ε can evaluate the Lambert W once per draw.
+    over ε can evaluate the Lambert W once per draw.  scipy is
+    imported here, not at module level, so a process that never draws
+    geo-I noise (a warm daemon) never loads it; see
+    ``ProcessPoolBackend._pool_of`` for why pools import it first.
     """
+    from scipy.special import lambertw
+
     return np.real(lambertw((p - 1.0) / np.e, k=-1)) + 1.0
 
 

@@ -94,3 +94,19 @@ class TestExtraction:
             extract_stay_points(simple_trace, roam_m=0.0)
         with pytest.raises(ValueError):
             extract_stay_points(simple_trace, min_dwell_s=-5.0)
+
+
+def test_centroid_reduction_is_bit_identical_to_np_mean():
+    """The stay centroid's ``np.add.reduce(x[sl]) / count`` is exactly
+    ``np.mean``: same pairwise sum, same division, over windows short
+    and long (past the 8- and 128-element pairwise blocks) and over
+    strided views."""
+    rng = np.random.default_rng(2013)
+    base = rng.normal(0.0, 3e4, size=5000)
+    for x in (base, base[::3], base * 1e-7 + 1.5e6):
+        for _ in range(400):
+            i = int(rng.integers(0, len(x) - 1))
+            j = int(rng.integers(i + 1, min(len(x), i + 700) + 1))
+            window = x[slice(i, j)]
+            fast = float(np.add.reduce(window) / (j - i))
+            assert fast.hex() == float(np.mean(window)).hex()
