@@ -17,11 +17,13 @@ stdlib server, warm cache) for ``/sweep`` and ``/healthz`` and gates
 the transport: 200 sequential requests may start at most 2 handler
 threads, and 50 requests on one keep-alive connection must keep a p50
 under 5 ms.  It also reports a real daemon's CPU per cached request,
-from the daemon's own ``/proc/<pid>/stat``.  **Boot and footprint**
-rows boot idle daemons (``--processes 1`` and N) and report the time
-from spawn to the first ``/healthz`` 200 and each process's peak RSS
-(``VmHWM``); they fail if an idle daemon maps any scipy shared object
-(``/proc/<pid>/maps``), since only geo-I noise draws need scipy.  An
+from the daemon's own ``/proc/<pid>/stat``, next to the client's
+(``HttpServiceClient``'s thread CPU time) for the same requests.
+**Boot and footprint** rows boot idle daemons (``--processes 1`` and
+N) and report the time from spawn to the first ``/healthz`` 200 and
+each process's peak RSS (``VmHWM``); they fail if an idle daemon maps
+any scipy shared object (``/proc/<pid>/maps``), since only geo-I noise
+draws need scipy.  An
 **async tier** compares N concurrent *distinct* cold sweeps issued
 synchronously (each client thread blocks on its own POST /sweep)
 against the same workload submitted as jobs (POST /jobs + poll):
@@ -396,7 +398,7 @@ def _await_parked(server) -> None:
 
 def _run_transport_rows(app, dataset, sweep_kwargs, results: dict) -> None:
     """Handler threads and keep-alive latency (gated), and the daemon's
-    own CPU per cached request (reported)."""
+    and the client's own CPU per cached request (reported)."""
     server = app.make_server("127.0.0.1", 0)
     host, port = server.server_address[:2]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -424,7 +426,7 @@ def _run_transport_rows(app, dataset, sweep_kwargs, results: dict) -> None:
 
     cache_dir = Path(tempfile.mkdtemp(prefix="bench-transport-"))
     process, url = _start_daemon(1, cache_dir)
-    cpu_ms = {}
+    cpu_ms, client_cpu_ms = {}, {}
     try:
         daemon = HttpServiceClient(url, timeout_s=600.0)
         daemon.sweep(dataset, **sweep_kwargs)
@@ -433,12 +435,18 @@ def _run_transport_rows(app, dataset, sweep_kwargs, results: dict) -> None:
             ("healthz", daemon.healthz),
         ):
             before = _cpu_seconds(process.pid)
+            client_before = time.thread_time()
             for _ in range(CPU_REQUESTS):
                 call()
+            client_after = time.thread_time()
             after = _cpu_seconds(process.pid)
             cpu_ms[name] = (
                 None if before is None or after is None
                 else round((after - before) * 1000.0 / CPU_REQUESTS, 3)
+            )
+            # This thread is the client: its own CPU, send to decode.
+            client_cpu_ms[name] = round(
+                (client_after - client_before) * 1000.0 / CPU_REQUESTS, 3
             )
         process.send_signal(signal.SIGTERM)
         returncode = process.wait(timeout=30.0)
@@ -456,10 +464,15 @@ def _run_transport_rows(app, dataset, sweep_kwargs, results: dict) -> None:
           f"(gate < {MAX_KEEPALIVE_P50_MS:g} ms)")
     print(f"daemon CPU per request ({CPU_REQUESTS} each, /proc/<pid>/stat): "
           + ", ".join(f"{name} {value} ms" for name, value in cpu_ms.items()))
+    print(f"client CPU per request ({CPU_REQUESTS} each, HttpServiceClient "
+          f"thread time): " + ", ".join(
+              f"{name} {value} ms" for name, value in client_cpu_ms.items()
+          ))
     results["http"].update({
         "threads_started_sequential": threads_started,
         "keepalive_p50_ms": round(keepalive_p50_ms, 3),
         "daemon_cpu_ms_per_request": cpu_ms,
+        "client_cpu_ms_per_request": client_cpu_ms,
     })
     if returncode != 0:
         raise SystemExit(f"FAIL: transport rows: daemon exited "

@@ -30,6 +30,7 @@ Endpoints::
 from __future__ import annotations
 
 import copy
+import email.utils
 import functools
 import inspect
 import json
@@ -39,6 +40,7 @@ import queue
 import signal
 import threading
 import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Dict, Optional
@@ -46,6 +48,7 @@ from typing import Callable, Dict, Optional
 from ..engine import EvaluationEngine
 from ..framework import geo_ind_system
 from .handlers import SCHEMAS, make_handlers, make_job_handlers, tenant_of
+from .heads import Headers, HeadTooLarge, MalformedHead, read_headers
 from .jobs import JOB_ENDPOINTS, Job, JobManager
 from ..resilience import (
     EVENT_COUNTS,
@@ -527,6 +530,13 @@ class _QuietThreadingHTTPServer(ThreadingHTTPServer):
             super().handle_error(request, client_address)
 
 
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The ``Date`` header value for a whole second since the epoch:
+    formatted once per second rather than once per response."""
+    return email.utils.formatdate(second, usegmt=True)
+
+
 class _ServiceHTTPHandler(BaseHTTPRequestHandler):
     """JSON-over-HTTP adapter around :meth:`ConfigService.dispatch`."""
 
@@ -539,16 +549,122 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
     #: of pinning it forever.
     timeout = 60.0
 
+    def parse_request(self) -> bool:
+        """The stdlib's request-line checks, then the head through
+        :func:`~repro.service.heads.read_headers` instead of
+        ``email.feedparser``.
+
+        Status codes, limits, the ``//`` collapse and the
+        ``Connection``/``Expect`` handling are the stdlib's; a head RFC
+        9112 says to reject (obs-fold, a bad field name, a line with no
+        colon, conflicting ``Content-Length``) gets a typed 400 through
+        the pipeline and closes the connection.
+        """
+        self.command = None  # set in case of error on the first line
+        self.request_version = version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1")
+        requestline = requestline.rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if len(words) == 0:
+            return False
+
+        if len(words) >= 3:  # Enough to determine protocol version
+            version = words[-1]
+            try:
+                if not version.startswith("HTTP/"):
+                    raise ValueError
+                base_version_number = version.split("/", 1)[1]
+                version_number = base_version_number.split(".")
+                # RFC 2145 section 3.1: one ".", separate integers,
+                # leading zeros ignored.
+                if len(version_number) != 2:
+                    raise ValueError
+                if any(not part.isdigit() for part in version_number):
+                    raise ValueError("non digit in http version")
+                if any(len(part) > 10 for part in version_number):
+                    raise ValueError("unreasonable length http version")
+                version_number = (int(version_number[0]),
+                                  int(version_number[1]))
+            except (ValueError, IndexError):
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST,
+                    "Bad request version (%r)" % version)
+                return False
+            if (version_number >= (1, 1)
+                    and self.protocol_version >= "HTTP/1.1"):
+                self.close_connection = False
+            if version_number >= (2, 0):
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                    "Invalid HTTP version (%s)" % base_version_number)
+                return False
+            self.request_version = version
+
+        if not 2 <= len(words) <= 3:
+            self.send_error(
+                HTTPStatus.BAD_REQUEST,
+                "Bad request syntax (%r)" % requestline)
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST,
+                    "Bad HTTP/0.9 request type (%r)" % command)
+                return False
+        self.command, self.path = command, path
+
+        # gh-87389: a path starting with '//' reads as a scheme-less
+        # absolute URI to clients (an open-redirect vector).
+        if self.path.startswith("//"):
+            self.path = "/" + self.path.lstrip("/")
+
+        try:
+            self.headers = read_headers(self.rfile)
+        except HeadTooLarge as exc:
+            self.send_error(
+                HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                exc.message, exc.explain)
+            return False
+        except MalformedHead as exc:
+            # The rest of the head is unread: answer, then close.
+            self.headers = Headers([], {})
+            self.close_connection = True
+            self._respond(self.app.dispatch(Request(
+                method=command, path=self._route_path(), headers={},
+                context={"transport_error": ServiceError(
+                    400, "invalid-request-head", str(exc),
+                )},
+            )))
+            return False
+
+        conntype = self.headers.get("Connection", "").lower()
+        if conntype == "close":
+            self.close_connection = True
+        elif (conntype == "keep-alive"
+              and self.protocol_version >= "HTTP/1.1"):
+            self.close_connection = False
+        expect = self.headers.get("Expect", "")
+        if (expect.lower() == "100-continue"
+                and self.protocol_version >= "HTTP/1.1"
+                and self.request_version >= "HTTP/1.1"):
+            if not self.handle_expect_100():
+                return False
+        return True
+
     def _route_path(self) -> str:
         # Routing ignores the query string (health probes and load
         # balancers append cache-busting parameters freely).
         return self.path.split("?", 1)[0]
 
     def _request_headers(self) -> Dict[str, str]:
-        # http.client.HTTPMessage folds repeats; last value wins here,
-        # which is fine for the single-valued headers the pipeline
-        # reads (X-API-Key, Accept-Encoding).
-        return {name: value for name, value in self.headers.items()}
+        # Repeats fold with the last value winning here, which is fine
+        # for the single-valued headers the pipeline reads (X-API-Key,
+        # Accept-Encoding).
+        return dict(self.headers.items())
 
     def _bodyless(self, method: str) -> None:
         if self.headers.get("Content-Length") not in (None, "0"):
@@ -640,34 +756,44 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
         return parsed
 
     def _respond(self, response: Response) -> None:
-        # The compression middleware may already have serialised (and
-        # gzipped) the body; its bytes ship verbatim, with the matching
-        # Content-Encoding header already in response.headers.
+        # The compression middleware has already serialised the body
+        # (gzipped or not) for a client that accepts gzip; its bytes
+        # ship verbatim, with any Content-Encoding header already in
+        # response.headers.
         if response.encoded_body is not None:
             payload = response.encoded_body
         else:
             payload = json.dumps(response.body).encode("utf-8")
-        self.send_response(response.status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        # Which worker answered — pre-fork smoke tests and operators
-        # use it to confirm requests really spread across processes.
-        self.send_header("X-Worker-Pid", str(os.getpid()))
-        if self.close_connection:
-            # Set by _read_json_body when the request body was never
-            # consumed; tell the client instead of silently dropping.
-            self.send_header("Connection", "close")
-        for name, value in response.headers.items():
-            self.send_header(name, value)
+        status = response.status
+        self.log_request(status)
         if self.request_version == "HTTP/0.9":
-            # No status line or headers in 0.9: nothing was buffered.
+            # No status line or headers in 0.9.
             self.wfile.write(payload)
             return
+        reason = self.responses[status][0] if status in self.responses else ""
+        lines = [
+            f"{self.protocol_version} {status} {reason}",
+            f"Server: {self.version_string()}",
+            f"Date: {_http_date(int(time.time()))}",
+            "Content-Type: application/json",
+            f"Content-Length: {len(payload)}",
+            # Which worker answered — pre-fork smoke tests and operators
+            # use it to confirm requests really spread across processes.
+            f"X-Worker-Pid: {os.getpid()}",
+        ]
+        if self.close_connection:
+            # Set when the request body was never consumed; tell the
+            # client instead of silently dropping.
+            lines.append("Connection: close")
+        for name, value in response.headers.items():
+            lines.append(f"{name}: {value}")
+        lines.append("\r\n")
         # Head and body leave in one write: sent as two, the body waits
         # under Nagle's algorithm for the client's delayed ACK of the
         # head, about 40 ms on every keep-alive request after the first.
-        self._headers_buffer.extend((b"\r\n", payload))
-        self.flush_headers()
+        self.wfile.write(
+            "\r\n".join(lines).encode("latin-1", "strict") + payload
+        )
 
     def log_message(self, format: str, *args) -> None:
         # The logging middleware already emits one structured line per

@@ -6,8 +6,9 @@ Two transports behind one interface:
   :class:`~repro.service.app.ConfigService` and calls its dispatch path
   directly.  No sockets, no serialisation beyond the service's own JSON
   contract; this is what the tests and the examples use.
-* :class:`HttpServiceClient` — over HTTP via :mod:`urllib` (stdlib
-  only), for talking to a daemon started with ``repro-lppm serve``.
+* :class:`HttpServiceClient` — over HTTP via :mod:`http.client`
+  (stdlib only), for talking to a daemon started with
+  ``repro-lppm serve``.
 
 Both raise :class:`ServiceClientError` on non-2xx responses, carrying
 the service's typed error payload (code, message, details).  Optional
@@ -25,14 +26,23 @@ when the deadline passes first.
 from __future__ import annotations
 
 import gzip
+import http.client
 import json
 import random
+import re
 import time
 import urllib.error
-import urllib.request
-from typing import List, Optional
+import urllib.parse
+from typing import List, Optional, Tuple
 
 from .app import ConfigService
+from .heads import (
+    MAX_HEADER_LINE,
+    Headers,
+    HeadTooLarge,
+    MalformedHead,
+    read_headers,
+)
 from .middleware import Response
 
 __all__ = ["ServiceClientError", "ServiceClient", "HttpServiceClient"]
@@ -342,6 +352,17 @@ class HttpServiceClient(_BaseClient):
     payloads cross the wire at a fraction of their JSON size.
     ``api_key`` (optional) is sent as ``X-API-Key`` on every request.
 
+    Each request opens its own :class:`http.client.HTTPConnection`
+    (``HTTPSConnection`` for ``https://``) straight to ``base_url``'s
+    host, sends its head and body in one write with
+    ``Connection: close``, and reads the answer's head with
+    :func:`~repro.service.heads.read_headers`, the reader the front end
+    uses.  Proxy environment variables (``http_proxy``, ``no_proxy``)
+    are not read.  A non-2xx answer raises :class:`ServiceClientError`;
+    a transport failure (a refused, reset or timed-out connection, an
+    answer that is not well-formed HTTP/1.1) raises
+    :class:`urllib.error.URLError` wrapping the cause.
+
     Transient failures are retried with bounded exponential backoff
     plus jitter: a 429/503 answer (the server refused before doing any
     work — ``Retry-After`` is honoured when present) retries for any
@@ -363,6 +384,21 @@ class HttpServiceClient(_BaseClient):
         if retries < 0:
             raise ValueError("retries must be >= 0")
         self.base_url = base_url.rstrip("/")
+        parts = urllib.parse.urlsplit(self.base_url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(
+                f"base_url must be an http:// or https:// URL: {base_url!r}"
+            )
+        port = parts.port  # raises ValueError on a malformed port
+        host = f"[{parts.hostname}]" if ":" in parts.hostname \
+            else parts.hostname
+        #: ``host[:port]``: where to connect, and the ``Host`` header.
+        self._address = host if port is None else f"{host}:{port}"
+        self._connection_class = (
+            http.client.HTTPSConnection if parts.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._path_prefix = parts.path
         self.timeout_s = float(timeout_s)
         self.api_key = api_key
         #: Extra headers sent on every request (e.g. a default
@@ -413,36 +449,120 @@ class HttpServiceClient(_BaseClient):
 
     def _request_once(self, method: str, path: str,
                       body: Optional[dict]) -> dict:
-        data = None
-        headers = {
+        data = b""
+        fields = {
+            "Host": self._address,
             "Accept": "application/json",
             "Accept-Encoding": "gzip",
         }
-        headers.update(self.extra_headers)
+        fields.update(self.extra_headers)
         if self.api_key is not None:
-            headers["X-API-Key"] = self.api_key
+            fields["X-API-Key"] = self.api_key
         if body is not None:
             data = json.dumps(body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + path, data=data, headers=headers, method=method
+            fields["Content-Type"] = "application/json"
+            fields["Content-Length"] = str(len(data))
+        fields["Connection"] = "close"
+        head = _request_head(method, self._path_prefix + path, fields)
+        connection = self._connection_class(
+            self._address, timeout=self.timeout_s
         )
         try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout_s
-            ) as raw:
-                self.last_headers = dict(raw.headers.items())
-                return self._decode(
-                    raw.read(), raw.headers.get("Content-Encoding")
+            # One write: http.client's request() sends head and body
+            # separately.
+            connection.send(head + data)
+            status, reason, headers, raw = _read_response(connection.sock)
+        except (OSError, http.client.HTTPException) as exc:
+            raise urllib.error.URLError(exc) from exc
+        finally:
+            connection.close()
+        self.last_headers = dict(headers.items())
+        encoding = headers.get("Content-Encoding")
+        if 200 <= status < 300:
+            return self._decode(raw, encoding)
+        try:
+            payload = self._decode(raw, encoding)
+        except (ValueError, UnicodeDecodeError, OSError):
+            payload = None
+        if not isinstance(payload, dict):
+            payload = {}
+        raise ServiceClientError(status, payload.get("error", {
+            "message": f"HTTP Error {status}: {reason}",
+        }))
+
+
+#: A request target is printable ASCII; a header name is a token; a
+#: header value holds no line break or NUL.  Anything else could end
+#: the request line or a field early.
+_TARGET = re.compile(r"[!-~]+")
+_FIELD_NAME = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+_FIELD_VALUE = re.compile(r"[^\r\n\0]*")
+
+
+def _request_head(method: str, target: str, fields: dict) -> bytes:
+    """The request line and header fields, ready to send."""
+    if _TARGET.fullmatch(target) is None:
+        raise ValueError(
+            f"request path must be printable ASCII without spaces: "
+            f"{target!r}"
+        )
+    lines = [f"{method} {target} HTTP/1.1"]
+    for name, value in fields.items():
+        value = str(value)
+        if _FIELD_NAME.fullmatch(name) is None \
+                or _FIELD_VALUE.fullmatch(value) is None:
+            raise ValueError(f"invalid header field: {name!r}: {value!r}")
+        lines.append(f"{name}: {value}")
+    lines.append("\r\n")
+    return "\r\n".join(lines).encode("latin-1")
+
+
+def _read_response(sock) -> Tuple[int, str, Headers, bytes]:
+    """Status, reason, headers and body of the answer to a
+    ``Connection: close`` request, read from ``sock``.
+
+    Malformed answers raise :class:`http.client.HTTPException`
+    subclasses, as ``http.client`` does.
+    """
+    with sock.makefile("rb") as rfile:
+        while True:
+            line = rfile.readline(MAX_HEADER_LINE + 1)
+            if not line:
+                raise http.client.RemoteDisconnected(
+                    "Remote end closed connection without response"
                 )
-        except urllib.error.HTTPError as exc:
-            self.last_headers = dict(exc.headers.items())
+            version, _, rest = line.decode("iso-8859-1").rstrip(
+                "\r\n").partition(" ")
+            code, _, reason = rest.partition(" ")
+            if not (version.startswith("HTTP/1.") and len(code) == 3
+                    and code.isascii() and code.isdigit()):
+                raise http.client.BadStatusLine(line)
             try:
-                payload = self._decode(
-                    exc.read(), exc.headers.get("Content-Encoding")
-                )
-            except (ValueError, UnicodeDecodeError, OSError):
-                payload = {}
-            raise ServiceClientError(
-                exc.code, payload.get("error", {"message": str(exc)})
-            ) from None
+                headers = read_headers(rfile)
+            except (HeadTooLarge, MalformedHead) as exc:
+                raise http.client.HTTPException(
+                    f"malformed response head: {exc}"
+                ) from exc
+            status = int(code)
+            if status >= 200:
+                break
+            # A 1xx interim answer has no body; the final one follows.
+        if headers.get("Transfer-Encoding") is not None:
+            raise http.client.HTTPException(
+                "unsupported Transfer-Encoding: "
+                f"{headers.get('Transfer-Encoding')!r}"
+            )
+        length = headers.get("Content-Length")
+        if length is None:
+            # Connection: close frames the body: it ends at EOF.
+            return status, reason.strip(), headers, rfile.read()
+        length = length.strip()
+        if not (length.isascii() and length.isdigit()):
+            raise http.client.HTTPException(
+                f"invalid Content-Length: {length!r}"
+            )
+        expected = int(length)
+        body = rfile.read(expected)
+        if len(body) < expected:
+            raise http.client.IncompleteRead(body, expected - len(body))
+        return status, reason.strip(), headers, body

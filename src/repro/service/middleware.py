@@ -374,6 +374,8 @@ class CompressionMiddleware(Middleware):
     ``Content-Encoding: gzip`` set — the HTTP front-end sends them
     verbatim, while in-process clients keep reading the ``body`` dict,
     so compression is a transport concern the handlers never see.
+    When it declines after serialising, the identity bytes land there
+    instead, with no ``Content-Encoding``, so the body is encoded once.
     The response cache sits far inside this layer and stores plain
     bodies, so one cached entry serves gzip and identity clients alike.
     """
@@ -397,9 +399,11 @@ class CompressionMiddleware(Middleware):
             return response
         payload = json.dumps(response.body).encode("utf-8")
         if len(payload) < self.min_bytes:
+            response.encoded_body = payload
             return response
         compressed = _gzip.compress(payload, compresslevel=6)
         if len(compressed) >= len(payload):
+            response.encoded_body = payload
             return response
         response.encoded_body = compressed
         response.headers["Content-Encoding"] = "gzip"

@@ -556,3 +556,195 @@ class TestHandlerThreads:
                 process.kill()
                 process.wait(timeout=10.0)
             process.stdout.close()
+
+
+class _OneShotServer:
+    """A listening socket that answers each connection with ``reply``
+    (bytes, or ``None`` to close without answering) and records the
+    request heads it read."""
+
+    def __init__(self, reply):
+        import socket
+
+        self.reply = reply
+        self.heads = []
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.sock.settimeout(30)
+        self.url = "http://127.0.0.1:%d" % self.sock.getsockname()[1]
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        import socket
+
+        while True:
+            try:
+                conn, _ = self.sock.accept()
+            except OSError:
+                return
+            with conn:
+                data = b""
+                while b"\r\n\r\n" not in data:
+                    chunk = conn.recv(65536)
+                    if not chunk:
+                        break
+                    data += chunk
+                self.heads.append(data.split(b"\r\n\r\n", 1)[0])
+                if self.reply is not None:
+                    conn.sendall(self.reply)
+                conn.shutdown(socket.SHUT_RDWR)
+
+    def close(self):
+        import socket
+
+        # shutdown, unlike close, wakes the thread blocked in accept.
+        self.sock.shutdown(socket.SHUT_RDWR)
+        self.sock.close()
+        self.thread.join(timeout=10)
+        assert not self.thread.is_alive()
+
+
+def _reply(status_line: bytes, body: bytes, *headers: bytes) -> bytes:
+    return b"\r\n".join(
+        [status_line, b"Content-Length: %d" % len(body), *headers, b""]
+    ) + b"\r\n" + body
+
+
+class TestHttpServiceClientTransport:
+    """``HttpServiceClient`` over ``http.client``: what it sends, and
+    how answers and transport failures reach the caller."""
+
+    def test_request_head_and_connection_close(self):
+        server = _OneShotServer(_reply(b"HTTP/1.1 200 OK", b'{"ok": 1}'))
+        try:
+            client = HttpServiceClient(server.url + "/", api_key="k-1",
+                                       headers={"X-Request-Deadline-Ms": "9"})
+            assert client.sweep(TAXI, points=4) == {"ok": 1}
+        finally:
+            server.close()
+        head = server.heads[0].decode("latin-1").split("\r\n")
+        fields = dict(line.split(": ", 1) for line in head[1:])
+        assert head[0] == "POST /sweep HTTP/1.1"
+        assert fields["Connection"] == "close"
+        assert fields["Accept-Encoding"] == "gzip"
+        assert fields["Accept"] == "application/json"
+        assert fields["Content-Type"] == "application/json"
+        assert fields["X-API-Key"] == "k-1"
+        assert fields["X-Request-Deadline-Ms"] == "9"
+        assert fields["Host"] == server.url[len("http://"):]
+        assert client.last_headers["Content-Length"] == "9"
+
+    def test_base_path_prefixes_every_request(self):
+        server = _OneShotServer(_reply(b"HTTP/1.1 200 OK", b"{}"))
+        try:
+            HttpServiceClient(server.url + "/api/").healthz()
+        finally:
+            server.close()
+        assert server.heads[0].startswith(b"GET /api/healthz HTTP/1.1\r\n")
+
+    def test_proxy_environment_is_not_read(self, monkeypatch):
+        server = _OneShotServer(_reply(b"HTTP/1.1 200 OK", b'{"up": true}'))
+        monkeypatch.setenv("http_proxy", "http://127.0.0.1:9")
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
+        try:
+            assert HttpServiceClient(server.url).healthz() == {"up": True}
+        finally:
+            server.close()
+
+    def test_gzip_error_body_is_a_typed_error(self):
+        import gzip
+
+        body = gzip.compress(json.dumps({"error": {
+            "code": "scenario-not-found", "message": "no such scenario",
+        }}).encode("utf-8"))
+        server = _OneShotServer(_reply(
+            b"HTTP/1.1 404 Not Found", body,
+            b"Content-Encoding: gzip", b"X-Request-Id: req-x-1",
+        ))
+        try:
+            client = HttpServiceClient(server.url)
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.status("job-1")
+        finally:
+            server.close()
+        assert excinfo.value.status == 404
+        assert excinfo.value.code == "scenario-not-found"
+        assert excinfo.value.message == "no such scenario"
+        assert client.last_headers["X-Request-Id"] == "req-x-1"
+
+    def test_error_without_a_json_body(self):
+        server = _OneShotServer(_reply(
+            b"HTTP/1.1 502 Bad Gateway", b"<html>upstream</html>"
+        ))
+        try:
+            with pytest.raises(ServiceClientError) as excinfo:
+                HttpServiceClient(server.url, retries=0).healthz()
+        finally:
+            server.close()
+        assert excinfo.value.status == 502
+        assert excinfo.value.message == "HTTP Error 502: Bad Gateway"
+
+    def test_interim_answer_and_body_up_to_eof(self):
+        server = _OneShotServer(
+            b"HTTP/1.1 100 Continue\r\n\r\n"
+            b"HTTP/1.1 200 OK\r\nX-Worker-Pid: 7\r\n\r\n{\"eof\": 1}"
+        )
+        try:
+            client = HttpServiceClient(server.url)
+            assert client.healthz() == {"eof": 1}
+        finally:
+            server.close()
+        assert client.last_headers == {"X-Worker-Pid": "7"}
+
+    @pytest.mark.parametrize("reply", [
+        None,  # closed without an answer
+        b"garbage\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\n{\"short\"",
+        b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n{}",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"2\r\n{}\r\n0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nX-A: 1\r\n folded\r\n\r\n{}",
+        b"HTTP/2 200\r\n\r\n{}",
+    ])
+    def test_transport_failures_are_url_errors(self, reply):
+        server = _OneShotServer(reply)
+        try:
+            client = HttpServiceClient(server.url, retries=1, backoff_s=0.001)
+            with pytest.raises(urllib.error.URLError):
+                client.healthz()
+        finally:
+            server.close()
+        assert client.retried == 1  # GET is idempotent: retried once
+        assert len(server.heads) == 2
+
+    def test_refused_connection_is_a_url_error(self):
+        import socket
+
+        with socket.create_server(("127.0.0.1", 0)) as probe:
+            port = probe.getsockname()[1]
+        client = HttpServiceClient(f"http://127.0.0.1:{port}", retries=0)
+        with pytest.raises(urllib.error.URLError) as excinfo:
+            client.healthz()
+        assert isinstance(excinfo.value.reason, ConnectionRefusedError)
+
+    @pytest.mark.parametrize("kwargs,call", [
+        ({"api_key": "k\r\nX-Injected: 1"}, lambda c: c.healthz()),
+        ({"headers": {"X-Bad Name": "1"}}, lambda c: c.healthz()),
+        ({}, lambda c: c.status("job 1")),
+        ({}, lambda c: c.status("job\r\n1")),
+    ])
+    def test_unsendable_requests_fail_before_connecting(self, kwargs, call):
+        server = _OneShotServer(_reply(b"HTTP/1.1 200 OK", b"{}"))
+        try:
+            with pytest.raises(ValueError):
+                call(HttpServiceClient(server.url, **kwargs))
+        finally:
+            server.close()
+        assert server.heads == []
+
+    @pytest.mark.parametrize("url", [
+        "ftp://127.0.0.1:9", "127.0.0.1:9", "http://", "http://host:port",
+    ])
+    def test_bad_base_urls_fail_at_construction(self, url):
+        with pytest.raises(ValueError):
+            HttpServiceClient(url)

@@ -369,7 +369,11 @@ class TestGzip:
             "GET", "/healthz", headers={"Accept-Encoding": "gzip"}
         )
         assert response.status == 200
-        assert response.encoded_body is None
+        assert "Content-Encoding" not in response.headers
+        # Declining to gzip keeps the bytes it serialised, so the front
+        # end sends them instead of encoding the body again.
+        assert response.encoded_body == \
+            json.dumps(response.body).encode("utf-8")
 
     def test_compression_counters(self, service):
         self._protect(service, **{"Accept-Encoding": "gzip"})
@@ -419,6 +423,38 @@ class TestGzipOverHttp:
         assert int(gz_headers["Content-Length"]) == len(gz_bytes)
         assert len(gz_bytes) < len(plain_bytes)
         assert gzip.decompress(gz_bytes) == plain_bytes
+
+    def test_small_gzip_reply_is_serialised_once(self, http_service,
+                                                 monkeypatch):
+        """A reply under ``min_bytes`` to a gzip-accepting client is
+        encoded by the compression layer only, and its bytes are what
+        the front end's own ``json.dumps`` would have sent."""
+        import http.client
+
+        encoded = []
+        real_dumps = json.dumps
+
+        def counting_dumps(obj, *args, **kwargs):
+            text = real_dumps(obj, *args, **kwargs)
+            encoded.append(text)
+            return text
+
+        host, port = http_service[len("http://"):].split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=30)
+        try:
+            monkeypatch.setattr(json, "dumps", counting_dumps)
+            connection.request("GET", "/healthz",
+                               headers={"Accept-Encoding": "gzip"})
+            response = connection.getresponse()
+            raw = response.read()
+            monkeypatch.undo()
+        finally:
+            connection.close()
+        assert response.status == 200
+        assert response.headers.get("Content-Encoding") is None
+        assert int(response.headers["Content-Length"]) == len(raw)
+        assert raw == json.dumps(json.loads(raw)).encode("utf-8")
+        assert [text.encode("utf-8") for text in encoded].count(raw) == 1
 
     def test_http_client_inflates_transparently(self, http_service):
         from repro.service import HttpServiceClient
